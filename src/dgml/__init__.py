@@ -32,6 +32,7 @@ from .twolevel import (
     prolongation_matrix,
     restriction_matrix,
     smoother_matrix,
+    smoother_scale,
 )
 from .lfa import (
     DegenerateParameterError,

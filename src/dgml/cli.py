@@ -30,6 +30,7 @@ from .discretization import (
     DiscretizationConfig,
     SizeCapError,
     dense_cap,
+    source_vector,
 )
 from .solver import gmres
 from .twolevel import (
@@ -303,15 +304,18 @@ def cmd_gmres_sweep(args) -> int:
     presets = (args.preset,) if args.preset else ("classical", "clustering")
     pairs = [(name, preset_params(name)) for name in presets]
     rows = []
+    unconverged = []
     for name, params in pairs:
         for J in cells:
             cfg = DiscretizationConfig(J, params.penalty, BoundaryCondition(args.bc), 1)
             ops = build_two_level(cfg, params)
             Minv = preconditioner_matrix(ops)
-            b = np.ones(2 * J)
+            b = source_vector(cfg)
             report = gmres(lambda v: ops.A @ v, lambda v: Minv @ v, b, tol=args.tol)
             relres = report.residual_history[-1] / report.residual_history[0]
             rows.append([J, name, report.iterations, relres])
+            if not report.converged:
+                unconverged.append(f"J={J} {name}")
     if args.format in ("csv", "both"):
         write_csv(f"{args.out}_gmres.csv", ["J", "preset", "iterations", "final_relres"],
                   [[str(r[0]), r[1], str(r[2]), fmt(r[3])] for r in rows])
@@ -330,6 +334,10 @@ def cmd_gmres_sweep(args) -> int:
     write_meta(spec, pairs, {"cells_list": args.cells_list})
     for J, name, iters, relres in rows:
         print(f"J={J:4d} {name:12s} iterations={iters:3d} relres={relres:.3e}")
+    if unconverged:
+        print(f"dgml: numerical failure: GMRES did not converge to {args.tol:g} for "
+              f"{', '.join(unconverged)}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

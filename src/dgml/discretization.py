@@ -177,5 +177,20 @@ def assemble(config: DiscretizationConfig) -> OperatorMatrix:
 
 
 def source_vector(config: DiscretizationConfig) -> np.ndarray:
-    """Load vector for the constant source f = 1 (all-ones at this scaling)."""
-    return np.ones(config.ndof)
+    """Load vector sampled at the dofs (at this scaling the load of f is f
+    evaluated at each dof's node).
+
+    Dirichlet: the constant source f = 1, i.e. all ones.  Periodic: the
+    system matrix annihilates constants, so a consistent load must have zero
+    mean and f = 1 has no solution; the source is f = cos(2 pi x) (plus
+    cos(2 pi y) in 2D), which sums to zero over the nodes.
+    """
+    if config.bc is BoundaryCondition.DIRICHLET:
+        return np.ones(config.ndof)
+    J = config.cells_per_dim
+    node = (np.arange(2 * J) + 1) // 2  # dof 2m sits at node m, dof 2m+1 at node m+1
+    f = np.cos(2.0 * np.pi * node / J)
+    if config.dim == 1:
+        return f
+    one = np.ones(2 * J)
+    return np.kron(f, one) + np.kron(one, f)

@@ -36,12 +36,17 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusteringSolution:
-    """A parameter triple with its system residuals and predicted factor."""
+    """A parameter triple with its system residuals and predicted factor.
+
+    failed_evals counts objective evaluations whose eigensolve raised
+    (scored as +inf for the search).
+    """
 
     params: MethodParams
     residuals: tuple[float, float, float]
     rho: float
     iterations: int = 0
+    failed_evals: int = 0
 
 
 def polyval(coeffs, x: float) -> float:
@@ -370,14 +375,20 @@ def optimize_2d(
     initial: MethodParams | None = None,
     max_evals: int = 200,
 ) -> ClusteringSolution:
-    """Minimize the dense 2D error-operator spectral radius over the full
-    triple by Nelder-Mead, starting from the 1D clustering triple."""
+    """Minimize the 2D error-operator spectral radius over the full triple by
+    Nelder-Mead, starting from the 1D clustering triple.
+
+    An evaluation whose eigensolve raises LinAlgError scores +inf for the
+    search and is counted in the result's failed_evals.
+    """
     if config.dim != 2:
         config = config.with_dim(2)
     if initial is None:
         initial = clustering_parameters().params
+    failed = 0
 
     def objective(v):
+        nonlocal failed
         alpha, d0, c = v
         if not (0.0 < alpha <= 1.0 and d0 > 1.0 and 0.0 < c < 1.0):
             return np.inf
@@ -386,6 +397,7 @@ def optimize_2d(
         try:
             eigs = spectrum.two_level_error_eigenvalues(cfg, p)
         except np.linalg.LinAlgError:
+            failed += 1
             return np.inf
         return float(np.max(np.abs(eigs)))
 
@@ -397,5 +409,5 @@ def optimize_2d(
     )
     params = MethodParams(*result.x)
     return ClusteringSolution(
-        params, clustering_system_residuals(params), result.fval, result.nfev
+        params, clustering_system_residuals(params), result.fval, result.nfev, failed
     )

@@ -1,4 +1,13 @@
-"""Dense eigenvalue computation and cluster analysis."""
+"""Eigenvalues of the two-level error operator and cluster analysis.
+
+Dirichlet error spectra are computed exactly from the 1D operators: the
+mesh reflection splits them into even and odd halves, the nonzero spectrum
+follows from the coarse-space complement identity (see
+``two_level_error_eigenvalues``), and the 2D inverse is applied by
+tensor-product fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+1964).  The dense eigensolve of the assembled operator serves periodic
+problems and is the oracle the tests compare against.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +20,17 @@ from .discretization import (
     DiscretizationConfig,
     OperatorRole,
     as_array,
+    assemble_1d,
     dense_cap,
     SizeCapError,
 )
-from .twolevel import MethodParams, build_two_level, error_matrix
+from .twolevel import (
+    MethodParams,
+    build_two_level,
+    error_matrix,
+    prolongation_matrix,
+    smoother_scale,
+)
 
 
 class EigensolveError(np.linalg.LinAlgError):
@@ -57,6 +73,11 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
 
     Eigenvalues are sorted by (real, imag) first, so the result does not
     depend on input order; clusters are returned sorted the same way.
+
+    Linked pairs (|x - y| <= tol) are found among the neighbours whose real
+    parts are close in the sorted order, and components are labelled by
+    their smallest sorted index through min-label propagation with pointer
+    jumping.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -64,32 +85,33 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     n = eigs.size
     if n == 0:
         return []
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist = np.abs(eigs[:, None] - eigs[None, :])
-    links = np.argwhere(dist <= tol)
-    for i, j in links:
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    # candidates j > i with Re x_j <= Re x_i + 2 tol: the margin keeps rounding
+    # in the real parts from dropping a linked pair; the exact test follows
+    ends = np.searchsorted(eigs.real, eigs.real + 2.0 * tol, side="right")
+    spans = ends - np.arange(n) - 1
+    first = np.cumsum(spans) - spans  # offset of i's candidates in the flat pair list
+    left = np.repeat(np.arange(n), spans)
+    right = left + 1 + np.arange(left.size) - first[left]
+    linked = np.abs(eigs[right] - eigs[left]) <= tol
+    left, right = left[linked], right[linked]
+    labels = np.arange(n)
+    while True:
+        before = labels.copy()
+        np.minimum.at(labels, left, labels[right])
+        np.minimum.at(labels, right, labels[left])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    order = np.argsort(labels, kind="stable")
+    _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    members = eigs[order]
     clusters = []
-    for members in groups.values():
-        vals = eigs[members]
+    for start, count in zip(starts, counts):
+        vals = members[start : start + count]
         center = vals.mean()
         radius = float(np.max(np.abs(vals - center)))
-        clusters.append(Cluster(complex(center), len(members), radius))
+        clusters.append(Cluster(complex(center), int(count), radius))
     clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return clusters
 
@@ -103,31 +125,82 @@ def analyze(M_or_eigs, tol: float = 1e-6, role: OperatorRole | None = None) -> S
     return SpectrumReport(eigs, radius, cluster_eigenvalues(eigs, tol), role)
 
 
-def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodParams) -> np.ndarray:
-    """Eigenvalue multiset of the two-level error operator.
+def _mirror_halves(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd halves of a 1D operator that commutes with the mesh
+    reflection.
 
-    For a symmetric positive definite system (Dirichlet) the operator is
-    similar, via the Cholesky factor, to a projected symmetric matrix; its
-    nonzero spectrum is computed with a symmetric eigensolve on the
-    complement of the coarse space and the known structural zeros are
-    appended.  That path is exact (tests compare it entrywise against the
-    generic dense eigensolve) and roughly an order of magnitude faster on
-    the 2D meshes.  Singular (periodic) systems fall back to the generic
-    dense path.
+    With F the row reflection i -> rows-1-i and Fc the column reflection,
+    F M Fc = M.  In the orthonormal bases (e_i +/- e_{rows-1-i})/sqrt(2),
+    i < rows/2 (columns alike), M is block diagonal, and each block is the
+    leading quarter of M plus or minus its column-reversed copy.
     """
-    ops = build_two_level(config, params)
-    n = ops.A.shape[0]
-    if config.bc is BoundaryCondition.PERIODIC:
-        return eigenvalues_dense(error_matrix(ops))
+    rows, cols = M.shape[0] // 2, M.shape[1] // 2
+    head, mirrored = M[:rows, :cols], M[:rows, ::-1][:, :cols]
+    return head + mirrored, head - mirrored
+
+
+def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodParams) -> np.ndarray:
+    """Eigenvalue multiset of the two-level error operator
+    E = (I - P A0^{-1} R A)(I - alpha*s*A), with Dinv = s*I.
+
+    Returns a complex array: the eigenvalues on the complement of the
+    coarse space in ascending order, then the coarse-dimension structural
+    zeros.  Periodic (singular) systems use the generic dense eigensolve of
+    the assembled error matrix.
+
+    Dirichlet systems are symmetric positive definite and the spectrum is
+    computed exactly from the 1D operators A1 and P1 alone:
+
+    * Complement identity.  With A = L L^T, L^T E L^{-T} = (I - Pi)(I -
+      alpha s L^T L), Pi the orthogonal projector onto range(L^T P): the
+      coarse dimension gives zeros, the rest is I - alpha s L^T L compressed
+      to range(L^T P)^perp.  Write x = L^T v in that space: P^T A v = 0, so
+      A v = N y with N an orthonormal basis of range(P)^perp, x = L^{-1} N y,
+      and x^T L^T L x / x^T x = y^T y / y^T N^T A^{-1} N y.  The compressed
+      eigenvalues are therefore 1 - alpha s / nu, nu over eig(N^T A^{-1} N).
+    * Mirror blocks.  A1 and P1 commute with the mesh reflection (the
+      Dirichlet closure is symmetric and the 4x2 prolongation block maps to
+      itself with its columns swapped), so both split exactly into even and
+      odd halves (``_mirror_halves``).  In 2D, A = A1 (x) I + I (x) A1 and
+      P = P1 (x) P1 split into the four Kronecker blocks ee, eo, oe, oo;
+      eo and oe are the same operator up to swapping the tensor factors,
+      so eo is computed once and counted twice.
+    * Fast diagonalization.  In a block with halves (a, b), A_a = V_a
+      diag(lam_a) V_a^T, A^{-1} = (V_a (x) V_b) diag(1/(lam_a + lam_b))
+      (V_a (x) V_b)^T, and N = [Q_a (x) N_b, N_a (x) Q_b, N_a (x) N_b] with
+      [Q | N] the complete QR factor of the half-size prolongation.  So
+      N^T A^{-1} N is assembled from half-size factors only; in 1D the
+      block is N^T A_a^{-1} N.
+
+    No operator of size ndof is assembled on this path.
+    """
+    n = config.ndof
     if n > dense_cap():
         raise SizeCapError(f"{n} rows exceed the dense cap {dense_cap()}")
-    # Dinv is a scalar matrix: (I - P (P^T A P)^{-1} P^T A)(I - ab * A)
-    ab = params.alpha * ops.Dinv[0, 0]
-    L = np.linalg.cholesky(ops.A)
-    Y = L.T @ ops.P
-    Q, _ = np.linalg.qr(Y, mode="complete")
-    Z = Q[:, ops.P.shape[1]:]
-    W = L @ Z
-    T = np.eye(Z.shape[1]) - ab * (W.T @ W)
-    nonzero = np.linalg.eigvalsh(T)
-    return np.concatenate([nonzero, np.zeros(ops.P.shape[1])]).astype(complex)
+    if config.bc is BoundaryCondition.PERIODIC:
+        return eigenvalues_dense(error_matrix(build_two_level(config, params)))
+    alpha_s = params.alpha * smoother_scale(config, params)
+    line = config.with_dim(1)
+    halves = []  # per mirror half: eig(A_h) and its coarse/complement bases in A_h's eigenbasis
+    for A_h, P_h in zip(
+        _mirror_halves(assemble_1d(line).entries),
+        _mirror_halves(prolongation_matrix(line, params.discontinuity).entries),
+    ):
+        lam, V = np.linalg.eigh(A_h)
+        QN, _ = np.linalg.qr(P_h, mode="complete")
+        m = P_h.shape[1]
+        halves.append((lam, V.T @ QN[:, :m], V.T @ QN[:, m:]))
+    if config.dim == 1:
+        blocks = [(lam, N, 1) for lam, _, N in halves]
+    else:
+        blocks = []
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            (lam_a, Q_a, N_a), (lam_b, Q_b, N_b) = halves[a], halves[b]
+            G = np.hstack([np.kron(Q_a, N_b), np.kron(N_a, Q_b), np.kron(N_a, N_b)])
+            blocks.append((np.add.outer(lam_a, lam_b).ravel(), G, 1 if a == b else 2))
+    nonzero = np.concatenate([
+        np.tile(1.0 - alpha_s / np.linalg.eigvalsh(G.T @ (G / lam[:, None])), copies)
+        for lam, G, copies in blocks
+    ])
+    zeros = np.zeros(config.cells_per_dim ** config.dim)
+    return np.concatenate([np.sort(nonzero), zeros]).astype(complex)

@@ -69,18 +69,24 @@ class MethodParams:
         return (self.alpha, self.penalty, self.discontinuity)
 
 
-def smoother_matrix(config: DiscretizationConfig, params: MethodParams) -> OperatorMatrix:
-    """Inverse of the cell block-Jacobi smoother (scalar at this stencil).
+def smoother_scale(config: DiscretizationConfig, params: MethodParams) -> float:
+    """The scalar s of the inverse cell block-Jacobi smoother Dinv = s * I.
 
     1D blocks are delta0/h^2 times the identity, 2D blocks (Kronecker sum)
-    are 2*delta0/h^2 times the identity, so the inverse is a scalar matrix.
+    are 2*delta0/h^2 times the identity, so s = h^2/delta0 in 1D and
+    h^2/(2*delta0) in 2D.
     """
     if config.penalty != params.penalty:
         raise ConfigError(
             f"config penalty {config.penalty} != params penalty {params.penalty}"
         )
     h2 = config.mesh_size ** 2
-    scale = h2 / params.penalty if config.dim == 1 else h2 / (2.0 * params.penalty)
+    return h2 / params.penalty if config.dim == 1 else h2 / (2.0 * params.penalty)
+
+
+def smoother_matrix(config: DiscretizationConfig, params: MethodParams) -> OperatorMatrix:
+    """Inverse of the cell block-Jacobi smoother (scalar at this stencil)."""
+    scale = smoother_scale(config, params)
     return OperatorMatrix(scale * np.eye(config.ndof), OperatorRole.SMOOTHER)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgml import cli
+from dgml.solver import gmres
 
 
 def run(tmp_path, *argv):
@@ -89,6 +90,29 @@ def test_gmres_sweep_loose_tolerance(tmp_path):
                "--tol", "0.5") == 0
     lines = read(tmp_path, "_gmres.csv").strip().splitlines()
     assert int(lines[1].split(",")[2]) <= 2
+
+
+def test_gmres_sweep_periodic_solves_consistent_system(tmp_path, monkeypatch):
+    # the periodic operator annihilates constants: every solve the sweep
+    # makes must meet the tolerance in the true residual too
+    solves = []
+
+    def recording(apply_A, apply_M, b, **kwargs):
+        report = gmres(apply_A, apply_M, b, **kwargs)
+        solves.append((report, np.linalg.norm(b)))
+        return report
+
+    monkeypatch.setattr(cli, "gmres", recording)
+    assert run(tmp_path, "gmres-sweep", "--bc", "periodic", "--cells-list", "16,32,64") == 0
+    assert len(solves) == 6
+    for report, bnorm in solves:
+        assert report.converged
+        assert report.true_residual < 1e-8 * bnorm
+
+
+def test_gmres_sweep_unconverged_is_numerical_failure(tmp_path, capsys):
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--tol", "1e-30") == 3
+    assert "J=16 classical" in capsys.readouterr().err
 
 
 def test_lfa_verify_passes(tmp_path):

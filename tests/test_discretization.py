@@ -142,6 +142,20 @@ def test_source_vector_is_ones():
     )
 
 
+@pytest.mark.parametrize("dim,J", [(1, 2), (1, 16), (2, 4)])
+def test_periodic_source_vector_is_consistent(dim, J):
+    # the periodic operator annihilates constants, so a solvable load has
+    # zero mean; it must not vanish
+    cfg = DiscretizationConfig(J, 2.0, PER, dim)
+    b = source_vector(cfg)
+    assert b.shape == (cfg.ndof,)
+    assert abs(b.sum()) < 1e-12 * b.size
+    assert np.ptp(b) > 1.0
+    A = assemble_1d(cfg).entries if dim == 1 else assemble_2d(cfg).entries
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
+
+
 def test_constant_source_solution_peak():
     # the interior stencil applied to smooth samples approximates -u''/2,
     # so the all-ones load solves -u'' = 2 whose peak is 1/4

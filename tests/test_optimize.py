@@ -189,3 +189,25 @@ def test_optimize_2d_single_alpha_recovery():
     assert rho < 1.0
     assert rho <= rho_of_alpha(0.95) + 1e-12
     assert rho <= rho_of_alpha(0.4) + 1e-12
+
+
+def test_optimize_2d_counts_failed_evaluations(monkeypatch, clustering_triple):
+    # a failed eigensolve scores +inf for the search and is counted
+    real = spectrum.two_level_error_eigenvalues
+    calls = {"made": 0, "failed": 0}
+
+    def flaky(cfg, params):
+        calls["made"] += 1
+        if calls["made"] % 3 == 0:
+            calls["failed"] += 1
+            raise np.linalg.LinAlgError("injected eigensolver failure")
+        return real(cfg, params)
+
+    monkeypatch.setattr(spectrum, "two_level_error_eigenvalues", flaky)
+    cfg = DiscretizationConfig(4, clustering_triple.penalty, BoundaryCondition.DIRICHLET, 2)
+    sol = optimize.optimize_2d(cfg, clustering_triple, max_evals=20)
+    assert calls["failed"] >= 5
+    assert sol.failed_evals == calls["failed"]
+    assert np.isfinite(sol.rho)
+    monkeypatch.setattr(spectrum, "two_level_error_eigenvalues", real)
+    assert optimize.optimize_2d(cfg, clustering_triple, max_evals=20).failed_evals == 0

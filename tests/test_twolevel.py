@@ -21,6 +21,7 @@ from dgml.twolevel import (
     prolongation_matrix,
     restriction_matrix,
     smoother_matrix,
+    smoother_scale,
 )
 from dgml import lfa
 
@@ -44,6 +45,17 @@ def test_smoother_1d_values():
     cfg = DiscretizationConfig(4, 2.0, PER)
     D = smoother_matrix(cfg, MethodParams(0.9, 2.0, 0.5)).entries
     np.testing.assert_array_equal(D, (1.0 / 16 / 2.0) * np.eye(8))
+
+
+def test_smoother_scale():
+    assert smoother_scale(DiscretizationConfig(4, 2.0, DIR), MethodParams(0.9, 2.0, 0.5)) == 1.0 / 32
+    cfg2 = DiscretizationConfig(4, 2.0, DIR, 2)
+    assert smoother_scale(cfg2, MethodParams(0.9, 2.0, 0.5)) == 1.0 / 64
+    np.testing.assert_array_equal(
+        smoother_matrix(cfg2, MethodParams(0.9, 2.0, 0.5)).entries, np.eye(64) / 64
+    )
+    with pytest.raises(ConfigError):
+        smoother_scale(cfg2, MethodParams(0.9, 1.5, 0.5))
 
 
 def test_smoother_normalizes_periodic_diagonal():
