@@ -8,8 +8,6 @@ from .discretization import (
     BoundaryCondition,
     ConfigError,
     DiscretizationConfig,
-    OperatorMatrix,
-    OperatorRole,
     SizeCapError,
     assemble,
     assemble_1d,
@@ -21,22 +19,15 @@ from .twolevel import (
     MethodParams,
     SingularCoarseError,
     TwoLevelOperators,
-    apply_preconditioner,
     build_two_level,
-    coarse_operator,
     deflate_constant,
     error_matrix,
-    error_operator,
-    preconditioned_matrix,
     preconditioner_matrix,
     prolongation_matrix,
-    restriction_matrix,
-    smoother_matrix,
     smoother_scale,
 )
 from .lfa import (
     DegenerateParameterError,
-    FourierBlock,
     SymbolEigenvalues,
     eigenvalues_closed_form,
     eigenvalues_closed_form_at,
@@ -55,6 +46,7 @@ from .optimize import (
     ClusteringSolution,
     NewtonDivergenceError,
     clustering_parameters,
+    clustering_residuals,
     clustering_system_residuals,
     optimize_1d_alpha,
     optimize_1d_alpha_delta,

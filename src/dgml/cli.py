@@ -33,13 +33,7 @@ from .discretization import (
     source_vector,
 )
 from .solver import gmres
-from .twolevel import (
-    MethodParams,
-    build_two_level,
-    deflate_constant,
-    error_matrix,
-    preconditioner_matrix,
-)
+from .twolevel import MethodParams, build_two_level, error_matrix, preconditioner_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,90 +206,68 @@ def svg_plot(path, title, xlabel, ylabel, series, lines=False):
 # commands
 
 
-def _selected_params(args, allowed) -> list[tuple[str, MethodParams]]:
-    """Preset list, or a single custom triple when overrides are given."""
-    override = any(v is not None for v in (args.alpha, args.delta0, args.c))
-    if override:
-        base = preset_params(args.preset) if args.preset else preset_params(allowed[0])
+def _series(pairs, rows, key, x, y):
+    """One plot series per preset: columns x and y of the rows whose column
+    key names it."""
+    return [
+        (name, _COLORS.get(name, "#333"),
+         [r[x] for r in rows if r[key] == name], [r[y] for r in rows if r[key] == name])
+        for name, _ in pairs
+    ]
+
+
+def _selected_params(args, allowed, config) -> list[tuple[str, MethodParams]]:
+    """Preset list, or a single custom triple when overrides are given; the
+    numeric-2d preset runs the 2D optimizer on the command's mesh."""
+    if args.preset and args.preset not in allowed:
+        raise ConfigError(f"preset {args.preset!r} not in {allowed}")
+    names = (args.preset,) if args.preset else allowed
+
+    def resolve(name):
+        if name == "numeric-2d":
+            return optimize.optimize_2d(config, max_evals=args.max_evals).params
+        return preset_params(name)
+
+    if any(v is not None for v in (args.alpha, args.delta0, args.c)):
+        base = resolve(names[0])
         params = MethodParams(
             base.alpha if args.alpha is None else args.alpha,
             base.penalty if args.delta0 is None else args.delta0,
             base.discontinuity if args.c is None else args.c,
         )
         return [("custom", params)]
-    if args.preset:
-        if args.preset not in allowed:
-            raise ConfigError(f"preset {args.preset!r} not in {allowed}")
-        return [(args.preset, preset_params(args.preset))]
-    return [(name, preset_params(name)) for name in allowed]
+    return [(name, resolve(name)) for name in names]
 
 
 def _spectrum_rows(pairs, config) -> list[list]:
     rows = []
     for name, params in pairs:
         cfg = DiscretizationConfig(config.cells_per_dim, params.penalty, config.bc, config.dim)
-        if config.dim == 1:
-            ops = build_two_level(cfg, params)
-            E = error_matrix(ops).entries
-            if cfg.bc is BoundaryCondition.PERIODIC:
-                E = deflate_constant(E)
-            eigs = spectrum.eigenvalues_dense(E)
-        else:
-            eigs = spectrum.two_level_error_eigenvalues(cfg, params)
+        eigs = spectrum.two_level_error_eigenvalues(cfg, params)
         order = np.lexsort((eigs.imag, eigs.real))
         rows.extend([[eigs[i].real, eigs[i].imag, name] for i in order])
     return rows
 
 
-def cmd_spectrum1d(args) -> int:
-    config = DiscretizationConfig(args.cells, 2.0, BoundaryCondition(args.bc), 1)
-    pairs = _selected_params(args, PRESETS_1D)
-    spec = ExperimentSpec("spectrum1d", config, tuple(n for n, _ in pairs),
+def cmd_spectrum(args) -> int:
+    """spectrum1d and spectrum2d: error-operator eigenvalues per preset."""
+    dim = 1 if args.command == "spectrum1d" else 2
+    config = DiscretizationConfig(args.cells, 2.0, BoundaryCondition(args.bc), dim)
+    pairs = _selected_params(args, PRESETS_1D if dim == 1 else PRESETS_2D, config)
+    spec = ExperimentSpec(args.command, config, tuple(n for n, _ in pairs),
                           args.out, args.format, args.tol, args.cluster_tol)
     rows = _spectrum_rows(pairs, config)
     if args.format in ("csv", "both"):
         write_csv(f"{args.out}_spectrum.csv", ["re", "im", "preset"], rows)
     if args.format in ("svg", "both"):
-        series = []
-        for name, _ in pairs:
-            sub = [(r[0], r[1]) for r in rows if r[2] == name]
-            series.append((name, _COLORS.get(name, "#333"), [p[0] for p in sub], [p[1] for p in sub]))
-        svg_plot(f"{args.out}_spectrum.svg", f"error-operator spectrum, J={args.cells}",
-                 "Re", "Im", series)
-    write_meta(spec, pairs)
-    for name, params in pairs:
+        svg_plot(f"{args.out}_spectrum.svg", f"{dim}D error-operator spectrum, J={args.cells}",
+                 "Re", "Im", _series(pairs, rows, 2, 0, 1))
+    write_meta(spec, pairs, {"max_evals": args.max_evals} if dim == 2 else None)
+    for name, _ in pairs:
         sub = np.array([complex(r[0], r[1]) for r in rows if r[2] == name])
         report = spectrum.analyze(sub, tol=args.cluster_tol)
         print(f"{name}: {len(sub)} eigenvalues, radius {report.spectral_radius:.6f}, "
               f"{len(report.clusters)} clusters at tol {args.cluster_tol:g}")
-    return EXIT_OK
-
-
-def cmd_spectrum2d(args) -> int:
-    config = DiscretizationConfig(args.cells, 2.0, BoundaryCondition(args.bc), 2)
-    pairs = []
-    for name in (args.preset,) if args.preset else PRESETS_2D:
-        if name == "numeric-2d":
-            sol = optimize.optimize_2d(config, max_evals=args.max_evals)
-            pairs.append((name, sol.params))
-        else:
-            pairs.append((name, preset_params(name)))
-    spec = ExperimentSpec("spectrum2d", config, tuple(n for n, _ in pairs),
-                          args.out, args.format, args.tol, args.cluster_tol)
-    rows = _spectrum_rows(pairs, config)
-    if args.format in ("csv", "both"):
-        write_csv(f"{args.out}_spectrum.csv", ["re", "im", "preset"], rows)
-    if args.format in ("svg", "both"):
-        series = []
-        for name, _ in pairs:
-            sub = [(r[0], r[1]) for r in rows if r[2] == name]
-            series.append((name, _COLORS.get(name, "#333"), [p[0] for p in sub], [p[1] for p in sub]))
-        svg_plot(f"{args.out}_spectrum.svg", f"2D error-operator spectrum, {args.cells}x{args.cells}",
-                 "Re", "Im", series)
-    write_meta(spec, pairs, {"max_evals": args.max_evals})
-    for name, params in pairs:
-        sub = np.array([complex(r[0], r[1]) for r in rows if r[2] == name])
-        print(f"{name}: {len(sub)} eigenvalues, radius {np.max(np.abs(sub)):.6f}")
     return EXIT_OK
 
 
@@ -320,12 +292,8 @@ def cmd_gmres_sweep(args) -> int:
         write_csv(f"{args.out}_gmres.csv", ["J", "preset", "iterations", "final_relres"],
                   [[str(r[0]), r[1], str(r[2]), fmt(r[3])] for r in rows])
     if args.format in ("svg", "both"):
-        series = []
-        for name, _ in pairs:
-            sub = [(r[0], r[2]) for r in rows if r[1] == name]
-            series.append((name, _COLORS.get(name, "#333"), [p[0] for p in sub], [p[1] for p in sub]))
         svg_plot(f"{args.out}_gmres.svg", f"GMRES iterations to {args.tol:g}",
-                 "cells J", "iterations", series, lines=True)
+                 "cells J", "iterations", _series(pairs, rows, 1, 0, 2), lines=True)
     spec = ExperimentSpec(
         "gmres-sweep",
         DiscretizationConfig(cells[0], 2.0, BoundaryCondition(args.bc), 1),
@@ -382,11 +350,10 @@ def cmd_lfa_verify(args) -> int:
     for J in cells:
         for name, params in cases:
             cfg = DiscretizationConfig(J, params.penalty, BoundaryCondition.PERIODIC, 1)
-            ops = build_two_level(cfg, params)
-            dense_eigs = spectrum.eigenvalues_dense(error_matrix(ops))
-            sym_eigs = lfa.error_spectrum_symbols(
-                J, params, kernel="pinv", _flip_restriction_sign=args.inject_error
-            )
+            dense_eigs = spectrum.eigenvalues_dense(error_matrix(build_two_level(cfg, params)))
+            if args.inject_error:  # the symbol side sees a nudged discontinuity
+                params = MethodParams(params.alpha, params.penalty, params.discontinuity + 1e-3)
+            sym_eigs = lfa.error_spectrum_symbols(J, params, kernel="pinv")
             dev = lfa.multiset_deviation(dense_eigs, sym_eigs)
             worst = max(worst, dev)
             rows.append([str(J), name, fmt(dev)])
@@ -430,13 +397,13 @@ def build_parser() -> _Parser:
 
     s1 = subs.add_parser("spectrum1d", help="1D error-operator spectra per preset")
     _add_common(s1)
-    s1.set_defaults(func=cmd_spectrum1d)
+    s1.set_defaults(func=cmd_spectrum)
 
     s2 = subs.add_parser("spectrum2d", help="2D error-operator spectra per preset")
     _add_common(s2)
     s2.add_argument("--max-evals", type=int, default=50, dest="max_evals",
                     help="objective-evaluation cap for the numeric-2d preset")
-    s2.set_defaults(func=cmd_spectrum2d)
+    s2.set_defaults(func=cmd_spectrum)
 
     s3 = subs.add_parser("gmres-sweep", help="GMRES iteration counts over mesh sizes")
     _add_common(s3)
@@ -451,7 +418,7 @@ def build_parser() -> _Parser:
     _add_common(s5)
     s5.add_argument("--cells-list", default="4,8,16,32", dest="cells_list")
     s5.add_argument("--inject-error", action="store_true", dest="inject_error",
-                    help="fault-injection test mode: perturb one symbol entry")
+                    help="fault-injection test mode: give the symbol side c + 1e-3")
     s5.set_defaults(func=cmd_lfa_verify)
     return parser
 

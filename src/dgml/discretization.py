@@ -53,16 +53,6 @@ class BoundaryCondition(Enum):
     DIRICHLET = "dirichlet"
 
 
-class OperatorRole(Enum):
-    SYSTEM = "system"
-    PROLONGATION = "prolongation"
-    RESTRICTION = "restriction"
-    COARSE = "coarse"
-    SMOOTHER = "smoother"
-    ERROR = "error"
-    PRECONDITIONED = "preconditioned"
-
-
 class ConfigError(ValueError):
     """Invalid discretization or method configuration."""
 
@@ -109,28 +99,7 @@ class DiscretizationConfig:
         return DiscretizationConfig(self.cells_per_dim, self.penalty, self.bc, dim)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator with a role tag (system, transfer, error, ...)."""
-
-    entries: np.ndarray
-    role: OperatorRole
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
-def as_array(op) -> np.ndarray:
-    """Accept OperatorMatrix or a plain array."""
-    return op.entries if isinstance(op, OperatorMatrix) else np.asarray(op)
-
-
-def assemble_1d(config: DiscretizationConfig) -> OperatorMatrix:
+def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the 1D SIPG system matrix for -u'' on the unit interval."""
     if config.dim != 1:
         raise ConfigError("assemble_1d requires dim=1")
@@ -152,10 +121,10 @@ def assemble_1d(config: DiscretizationConfig) -> OperatorMatrix:
         A[0, 0] += delta0
         A[n - 1, n - 1] += delta0
     A *= float(J) ** 2  # 1/h^2
-    return OperatorMatrix(A, OperatorRole.SYSTEM)
+    return A
 
 
-def assemble_2d(config: DiscretizationConfig) -> OperatorMatrix:
+def assemble_2d(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the 2D operator as the Kronecker sum A (x) I + I (x) A."""
     if config.dim != 2:
         raise ConfigError("assemble_2d requires dim=2")
@@ -165,13 +134,12 @@ def assemble_2d(config: DiscretizationConfig) -> OperatorMatrix:
             f"2D operator has {n1 * n1} rows, exceeding the dense cap "
             f"{dense_cap()} (set DGML_DENSE_CAP to raise it)"
         )
-    A1 = assemble_1d(config.with_dim(1)).entries
+    A1 = assemble_1d(config.with_dim(1))
     eye = np.eye(n1)
-    A2 = np.kron(A1, eye) + np.kron(eye, A1)
-    return OperatorMatrix(A2, OperatorRole.SYSTEM)
+    return np.kron(A1, eye) + np.kron(eye, A1)
 
 
-def assemble(config: DiscretizationConfig) -> OperatorMatrix:
+def assemble(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the system matrix for either spatial dimension."""
     return assemble_1d(config) if config.dim == 1 else assemble_2d(config)
 

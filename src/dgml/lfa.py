@@ -43,16 +43,6 @@ class DegenerateParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class FourierBlock:
-    """Small dense complex block attached to frequency index k."""
-
-    k: int
-    cells: int
-    entries: np.ndarray
-    parity: int = 1  # +1: shared node at an even fine index, -1: odd
-
-
-@dataclass(frozen=True)
 class SymbolEigenvalues:
     """Closed-form nonzero eigenvalues of the error symbol at one frequency."""
 
@@ -69,7 +59,7 @@ def _check_k(k: int, J: int):
         raise ValueError(f"frequency index k={k} outside [0, {J // 2})")
 
 
-def symbol_system(k: int, J: int, penalty: float) -> FourierBlock:
+def symbol_system(k: int, J: int, penalty: float) -> np.ndarray:
     """4x4 symbol of the system matrix at the harmonic pair {k - J/2, k}.
 
     Each harmonic contributes a 2x2 block [[d, 1-delta0], [1-delta0, d]]
@@ -87,7 +77,7 @@ def symbol_system(k: int, J: int, penalty: float) -> FourierBlock:
     M[2, 2] = M[3, 3] = d_base
     M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = off
     M *= float(J) ** 2  # 1/h^2
-    return FourierBlock(k, J, M)
+    return M
 
 
 def symbol_smoother_inv(penalty: float, h: float) -> np.ndarray:
@@ -95,7 +85,7 @@ def symbol_smoother_inv(penalty: float, h: float) -> np.ndarray:
     return (h * h / penalty) * np.eye(4, dtype=complex)
 
 
-def symbol_restriction(k: int, J: int, c: float, parity: int = 1) -> FourierBlock:
+def symbol_restriction(k: int, J: int, c: float, parity: int = 1) -> np.ndarray:
     """2x4 restriction symbol, rows = coarse components, cols = fine pair.
 
     This is the exact block of the dense restriction on the orthonormal
@@ -108,23 +98,21 @@ def symbol_restriction(k: int, J: int, c: float, parity: int = 1) -> FourierBloc
     e = np.exp(2j * np.pi * k / J)
     ec = np.conj(e)
     s = float(parity)
-    R = np.array(
+    return np.array(
         [
             [1.0 + (c - 1.0) * e, -c * e, s * (1.0 - (c - 1.0) * e), s * c * e],
             [-s * c * ec, s * (1.0 + (c - 1.0) * ec), c * ec, 1.0 - (c - 1.0) * ec],
         ],
         dtype=complex,
     ) / (2.0 * np.sqrt(2.0))
-    return FourierBlock(k, J, R, parity)
 
 
-def symbol_prolongation(k: int, J: int, c: float, parity: int = 1) -> FourierBlock:
+def symbol_prolongation(k: int, J: int, c: float, parity: int = 1) -> np.ndarray:
     """4x2 prolongation symbol, twice the conjugate transpose of restriction."""
-    R = symbol_restriction(k, J, c, parity)
-    return FourierBlock(k, J, 2.0 * R.entries.conj().T, parity)
+    return 2.0 * symbol_restriction(k, J, c, parity).conj().T
 
 
-def symbol_coarse(k: int, J: int, penalty: float, c: float, parity: int = 1) -> FourierBlock:
+def symbol_coarse(k: int, J: int, penalty: float, c: float, parity: int = 1) -> np.ndarray:
     """2x2 coarse-operator symbol in closed form, units of 1/h^2.
 
     Coincides with restriction @ system @ prolongation built from the other
@@ -140,11 +128,10 @@ def symbol_coarse(k: int, J: int, penalty: float, c: float, parity: int = 1) -> 
     cross = -(2.0 * c - 1.0) * (c * (2.0 * d0 - 1.0) - d0 + 1.0)
     upper = 0.5 * s * (cross * w - c - d0 + 1.0)
     lower = 0.5 * s * (cross * np.conj(w) - c - d0 + 1.0)
-    M = np.array([[diag, upper], [lower, diag]], dtype=complex) * float(J) ** 2
-    return FourierBlock(k, J, M, parity)
+    return np.array([[diag, upper], [lower, diag]], dtype=complex) * float(J) ** 2
 
 
-def symbol_error(k: int, J: int, params: MethodParams, coarse_inverse: str = "solve") -> FourierBlock:
+def symbol_error(k: int, J: int, params: MethodParams, coarse_inverse: str = "solve") -> np.ndarray:
     """4x4 error symbol (I - P A0^{-1} R A)(I - alpha Dinv A) at frequency k.
 
     The coarse symbol is singular at the kernel frequency k = 0 (constant
@@ -154,11 +141,11 @@ def symbol_error(k: int, J: int, params: MethodParams, coarse_inverse: str = "so
     _check_k(k, J)
     if coarse_inverse not in ("solve", "pinv", "project"):
         raise ValueError(f"unknown coarse_inverse mode {coarse_inverse!r}")
-    A = symbol_system(k, J, params.penalty).entries
+    A = symbol_system(k, J, params.penalty)
     Dinv = symbol_smoother_inv(params.penalty, 1.0 / J)
-    R = symbol_restriction(k, J, params.discontinuity).entries
-    P = symbol_prolongation(k, J, params.discontinuity).entries
-    A0 = symbol_coarse(k, J, params.penalty, params.discontinuity).entries
+    R = symbol_restriction(k, J, params.discontinuity)
+    P = symbol_prolongation(k, J, params.discontinuity)
+    A0 = symbol_coarse(k, J, params.penalty, params.discontinuity)
     if coarse_inverse == "solve":
         if abs(np.linalg.det(A0)) < 1e-12 * max(np.linalg.norm(A0), 1.0):
             raise DegenerateParameterError(
@@ -176,7 +163,7 @@ def symbol_error(k: int, J: int, params: MethodParams, coarse_inverse: str = "so
         v[2] = v[3] = 1.0 / np.sqrt(2.0)
         Pi = np.eye(4) - np.outer(v, v.conj())
         E = Pi @ E @ Pi
-    return FourierBlock(k, J, E)
+    return E
 
 
 def _coefficients(alpha: float, d0: float, c: float):
@@ -266,41 +253,18 @@ def symbol_radius(params: MethodParams, npoints: int = 256) -> float:
     return float(np.max(np.abs(pairs)))
 
 
-def error_spectrum_symbols(
-    J: int,
-    params: MethodParams,
-    kernel: str = "pinv",
-    _flip_restriction_sign: bool = False,
-) -> np.ndarray:
+def error_spectrum_symbols(J: int, params: MethodParams, kernel: str = "pinv") -> np.ndarray:
     """Union over k in [0, J/2) of the error-symbol eigenvalues (2J values).
 
     kernel selects the treatment of the singular k = 0 coarse block:
     "pinv" solves on the complement (the constant direction then shows its
     eigenvalue 1), "project" additionally compresses the k = 0 block onto
     the complement of the constant direction (that eigenvalue becomes 0).
-
-    _flip_restriction_sign is a fault-injection hook for the verification
-    CLI: it perturbs one restriction entry so the dense/symbol comparison
-    must fail.
     """
-    eigs = []
-    for k in range(J // 2):
-        mode = kernel if k == 0 else "solve"
-        if not _flip_restriction_sign:
-            E = symbol_error(k, J, params, coarse_inverse=mode).entries
-        else:
-            A = symbol_system(k, J, params.penalty).entries
-            Dinv = symbol_smoother_inv(params.penalty, 1.0 / J)
-            R = symbol_restriction(k, J, params.discontinuity).entries.copy()
-            R[0, 1] = -R[0, 1]
-            P = 2.0 * R.conj().T
-            A0 = R @ A @ P
-            A0inv = np.linalg.pinv(A0, rcond=1e-10) if k == 0 else np.linalg.inv(A0)
-            E = (np.eye(4) - P @ A0inv @ R @ A) @ (
-                np.eye(4) - params.alpha * Dinv @ A
-            )
-        eigs.append(np.linalg.eigvals(E))
-    return np.concatenate(eigs)
+    return np.concatenate([
+        np.linalg.eigvals(symbol_error(k, J, params, coarse_inverse=kernel if k == 0 else "solve"))
+        for k in range(J // 2)
+    ])
 
 
 def multiset_deviation(a, b) -> float:

@@ -134,52 +134,29 @@ def real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:
     return deduped
 
 
-def clustering_system_residuals(params: MethodParams) -> tuple[float, float, float]:
+def clustering_residuals(alpha: float, d0: float, c: float) -> np.ndarray:
     """Residuals of the three conditions that make the error-symbol
-    eigenvalues frequency independent."""
-    alpha, d0, c = params.as_tuple()
-    if c == 1.0 or d0 == 0.0:
-        raise lfa.DegenerateParameterError("residuals undefined at c=1 or delta0=0")
-    r1 = alpha + alpha * c * (d0 - 2) + (c - 1) * d0
-    r2 = alpha * (
-        3 * c**2 * d0 * (4 * d0 - 3) + c * (-12 * d0**2 + 9 * d0 + 1) + 4 * d0**2 - 2 * d0 - 1
-    ) - d0 * (c**2 * (8 * d0**2 - 4 * d0 - 1) + c * (-8 * d0**2 + 4 * d0 + 2) + 2 * d0**2 - 1)
-    den_l = (c - 1) ** 4 * d0**2
-    den_r = 2 * d0**2 * (
-        -2 * (2 * c**2 - 3 * c + 1) ** 2 * d0**2 + 4 * c * (c - 1) ** 3 * d0 + (c - 1) ** 4
-    )
-    if abs(den_l) < 1e-300 or abs(den_r) < 1e-300:
-        raise lfa.DegenerateParameterError("zero denominator in the third condition")
-    lhs = 2 * alpha**2 * (c - 1) ** 2 * c * (c * ((d0 - 4) * d0 + 2) + 2 * (d0 - 1)) / den_l
-    rhs = (
-        4
-        * alpha**2
-        * (4 * (c - 1) * c * d0**2 - 3 * (c - 1) * c * d0 + c + d0 - 1)
-        * (c * (3 * (c - 1) * d0 - 2 * c + 3) + d0 - 1)
-        / den_r
-    )
-    return (r1, r2, lhs - rhs)
+    eigenvalues frequency independent, read off ``lfa._coefficients``.
+
+    With x = cos(4*pi*k/J), the center (num0 + num1*x)/(den0 + den1*x)
+    vanishes for every x when num1 = num0 = 0, and the radicand (r0 + r1*x
+    + r2*x^2)/(s0 + s1*x + s2*x^2) loses its x dependence with r2/s2 =
+    r1/s1 (r0/s0 agrees at the clustering triple).  The residuals are
+    (num1/(1-c), -num0, 2*(r2/s2 - r1/s1)), the first with num1's factor
+    1-c divided out.
+    """
+    (num0, num1), _, (_, r1, r2), (_, s1, s2) = lfa._coefficients(alpha, d0, c)
+    if c == 1.0 or abs(s1) < 1e-300 or abs(s2) < 1e-300:
+        raise lfa.DegenerateParameterError(
+            f"clustering residuals undefined at (alpha, delta0, c) = {(alpha, d0, c)}: "
+            "zero denominator"
+        )
+    return np.array([num1 / (1 - c), -num0, 2 * (r2 / s2 - r1 / s1)])
 
 
-def _residual_vector(v) -> np.ndarray:
-    alpha, d0, c = v
-    r1 = alpha + alpha * c * (d0 - 2) + (c - 1) * d0
-    r2 = alpha * (
-        3 * c**2 * d0 * (4 * d0 - 3) + c * (-12 * d0**2 + 9 * d0 + 1) + 4 * d0**2 - 2 * d0 - 1
-    ) - d0 * (c**2 * (8 * d0**2 - 4 * d0 - 1) + c * (-8 * d0**2 + 4 * d0 + 2) + 2 * d0**2 - 1)
-    den_l = (c - 1) ** 4 * d0**2
-    den_r = 2 * d0**2 * (
-        -2 * (2 * c**2 - 3 * c + 1) ** 2 * d0**2 + 4 * c * (c - 1) ** 3 * d0 + (c - 1) ** 4
-    )
-    lhs = 2 * alpha**2 * (c - 1) ** 2 * c * (c * ((d0 - 4) * d0 + 2) + 2 * (d0 - 1)) / den_l
-    rhs = (
-        4
-        * alpha**2
-        * (4 * (c - 1) * c * d0**2 - 3 * (c - 1) * c * d0 + c + d0 - 1)
-        * (c * (3 * (c - 1) * d0 - 2 * c + 3) + d0 - 1)
-        / den_r
-    )
-    return np.array([r1, r2, lhs - rhs])
+def clustering_system_residuals(params: MethodParams) -> tuple[float, float, float]:
+    """clustering_residuals of a validated parameter triple, as floats."""
+    return tuple(float(r) for r in clustering_residuals(*params.as_tuple()))
 
 
 def predicted_radius(params: MethodParams) -> float:
@@ -205,7 +182,7 @@ def clustering_parameters() -> ClusteringSolution:
     c, d0 = c_roots[0], d_roots[0]
     alpha = min(
         a_roots,
-        key=lambda a: np.max(np.abs(_residual_vector((a, d0, c)))),
+        key=lambda a: np.max(np.abs(clustering_residuals(a, d0, c))),
     )
     params = MethodParams(alpha, d0, c)
     res = clustering_system_residuals(params)
@@ -221,7 +198,7 @@ def solve_clustering_system(
     from .discretization import ConfigError
 
     x = np.array(initial.as_tuple(), dtype=float)
-    fx = _residual_vector(x)
+    fx = clustering_residuals(*x)
     for it in range(max_iter):
         norm = np.max(np.abs(fx))
         if norm < tol:
@@ -235,21 +212,21 @@ def solve_clustering_system(
                 params, clustering_system_residuals(params), predicted_radius(params), it
             )
         Jac = np.empty((3, 3))
-        for j in range(3):
-            step = 1e-7 * max(abs(x[j]), 1.0)
-            xp = x.copy()
-            xp[j] += step
-            Jac[:, j] = (_residual_vector(xp) - fx) / step
         try:
+            for j in range(3):
+                step = 1e-7 * max(abs(x[j]), 1.0)
+                xp = x.copy()
+                xp[j] += step
+                Jac[:, j] = (clustering_residuals(*xp) - fx) / step
             delta = np.linalg.solve(Jac, -fx)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Jacobian: {exc}", x) from exc
+        except (lfa.DegenerateParameterError, np.linalg.LinAlgError) as exc:
+            raise NewtonDivergenceError(f"no Newton step: {exc}", x) from exc
         lam = 1.0
         for _ in range(40):
             x_new = x + lam * delta
             try:
-                f_new = _residual_vector(x_new)
-            except (ZeroDivisionError, FloatingPointError):
+                f_new = clustering_residuals(*x_new)
+            except (lfa.DegenerateParameterError, FloatingPointError):
                 f_new = np.array([np.inf] * 3)
             if np.all(np.isfinite(f_new)) and np.max(np.abs(f_new)) < norm:
                 break

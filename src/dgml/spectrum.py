@@ -5,8 +5,9 @@ mesh reflection splits them into even and odd halves, the nonzero spectrum
 follows from the coarse-space complement identity (see
 ``two_level_error_eigenvalues``), and the 2D inverse is applied by
 tensor-product fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964).  The dense eigensolve of the assembled operator serves periodic
-problems and is the oracle the tests compare against.
+1964).  The dense eigensolve of the assembled operator, with the constant
+mode deflated, serves periodic problems and is the oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .discretization import (
     BoundaryCondition,
     DiscretizationConfig,
-    OperatorRole,
-    as_array,
     assemble_1d,
     dense_cap,
     SizeCapError,
@@ -27,6 +26,7 @@ from .discretization import (
 from .twolevel import (
     MethodParams,
     build_two_level,
+    deflate_constant,
     error_matrix,
     prolongation_matrix,
     smoother_scale,
@@ -49,12 +49,11 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     spectral_radius: float
     clusters: list[Cluster]
-    operator_role: OperatorRole | None = None
 
 
 def eigenvalues_dense(M) -> np.ndarray:
     """All eigenvalues of a dense (generally nonsymmetric) matrix."""
-    A = as_array(M)
+    A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if A.shape[0] > dense_cap():
@@ -116,13 +115,13 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     return clusters
 
 
-def analyze(M_or_eigs, tol: float = 1e-6, role: OperatorRole | None = None) -> SpectrumReport:
+def analyze(M_or_eigs, tol: float = 1e-6) -> SpectrumReport:
     """Spectrum report (eigenvalues, radius, clusters) of a matrix or of an
     eigenvalue multiset."""
-    arr = as_array(M_or_eigs)
-    eigs = np.asarray(arr, dtype=complex).ravel() if arr.ndim == 1 else eigenvalues_dense(M_or_eigs)
+    arr = np.asarray(M_or_eigs)
+    eigs = arr.astype(complex, copy=False) if arr.ndim == 1 else eigenvalues_dense(arr)
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return SpectrumReport(eigs, radius, cluster_eigenvalues(eigs, tol), role)
+    return SpectrumReport(eigs, radius, cluster_eigenvalues(eigs, tol))
 
 
 def _mirror_halves(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +142,12 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
     """Eigenvalue multiset of the two-level error operator
     E = (I - P A0^{-1} R A)(I - alpha*s*A), with Dinv = s*I.
 
-    Returns a complex array: the eigenvalues on the complement of the
-    coarse space in ascending order, then the coarse-dimension structural
-    zeros.  Periodic (singular) systems use the generic dense eigensolve of
-    the assembled error matrix.
+    Dirichlet systems return a complex array: the eigenvalues on the
+    complement of the coarse space in ascending order, then the
+    coarse-dimension structural zeros.  Periodic (singular) systems return
+    the dense eigenvalues of the error matrix compressed to the complement
+    of the constant vector (``deflate_constant``): the constant mode, which
+    the operator leaves unchanged (eigenvalue 1), shows as 0 instead.
 
     Dirichlet systems are symmetric positive definite and the spectrum is
     computed exactly from the 1D operators A1 and P1 alone:
@@ -178,13 +179,13 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
     if n > dense_cap():
         raise SizeCapError(f"{n} rows exceed the dense cap {dense_cap()}")
     if config.bc is BoundaryCondition.PERIODIC:
-        return eigenvalues_dense(error_matrix(build_two_level(config, params)))
+        return eigenvalues_dense(deflate_constant(error_matrix(build_two_level(config, params))))
     alpha_s = params.alpha * smoother_scale(config, params)
     line = config.with_dim(1)
     halves = []  # per mirror half: eig(A_h) and its coarse/complement bases in A_h's eigenbasis
     for A_h, P_h in zip(
-        _mirror_halves(assemble_1d(line).entries),
-        _mirror_halves(prolongation_matrix(line, params.discontinuity).entries),
+        _mirror_halves(assemble_1d(line)),
+        _mirror_halves(prolongation_matrix(line, params.discontinuity)),
     ):
         lam, V = np.linalg.eigh(A_h)
         QN, _ = np.linalg.qr(P_h, mode="complete")

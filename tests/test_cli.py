@@ -71,6 +71,15 @@ def test_spectrum2d_row_counts(tmp_path):
     assert "params_numeric-2d=" in meta
 
 
+def test_spectrum2d_periodic_deflates_constant_mode(tmp_path):
+    # the constant mode (eigenvalue 1) is dropped, so every preset contracts
+    assert run(tmp_path, "spectrum2d", "--bc", "periodic", "--cells", "4", "--max-evals", "5") == 0
+    rows = [line.split(",") for line in read(tmp_path, "_spectrum.csv").strip().splitlines()[1:]]
+    for preset in cli.PRESETS_2D:
+        radius = max(abs(complex(float(r[0]), float(r[1]))) for r in rows if r[2] == preset)
+        assert radius < 0.9
+
+
 def test_gmres_sweep(tmp_path):
     assert run(tmp_path, "gmres-sweep", "--cells-list", "16,32", "--format", "both") == 0
     lines = read(tmp_path, "_gmres.csv").strip().splitlines()

@@ -25,31 +25,31 @@ def test_symbols_match_projected_dense_blocks(delta0, c, alpha):
     J = 8
     params = MethodParams(alpha, delta0, c)
     ops = build_two_level(DiscretizationConfig(J, delta0, PER), params)
-    E = error_matrix(ops).entries
+    E = error_matrix(ops)
     for k in range(J // 2):
         V = fine_pair_basis(J, k)
         W = coarse_basis(J, k)
         assert invariance_defect(ops.A, V) < 1e-10
         np.testing.assert_allclose(
-            projected_block(ops.A, V, V), lfa.symbol_system(k, J, delta0).entries,
+            projected_block(ops.A, V, V), lfa.symbol_system(k, J, delta0),
             atol=1e-10,
         )
         np.testing.assert_allclose(
-            projected_block(ops.R, W, V), lfa.symbol_restriction(k, J, c).entries,
+            projected_block(ops.R, W, V), lfa.symbol_restriction(k, J, c),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            projected_block(ops.P, V, W), lfa.symbol_prolongation(k, J, c).entries,
+            projected_block(ops.P, V, W), lfa.symbol_prolongation(k, J, c),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            projected_block(ops.A0, W, W), lfa.symbol_coarse(k, J, delta0, c).entries,
+            projected_block(ops.A0, W, W), lfa.symbol_coarse(k, J, delta0, c),
             atol=1e-10,
         )
         mode = "pinv" if k == 0 else "solve"
         np.testing.assert_allclose(
             projected_block(E, V, V),
-            lfa.symbol_error(k, J, params, coarse_inverse=mode).entries,
+            lfa.symbol_error(k, J, params, coarse_inverse=mode),
             atol=1e-11,
         )
 
@@ -65,7 +65,7 @@ def test_smoother_symbol_values():
 def test_smoother_symbol_normalizes_system_diagonal():
     # diag of Dinv_hat @ A_hat is 1 +/- cos(theta)/delta0
     k, J, delta0 = 2, 16, 1.8
-    M = lfa.symbol_smoother_inv(delta0, 1.0 / J) @ lfa.symbol_system(k, J, delta0).entries
+    M = lfa.symbol_smoother_inv(delta0, 1.0 / J) @ lfa.symbol_system(k, J, delta0)
     theta = 2 * np.pi * k / J
     np.testing.assert_allclose(
         np.diag(M).real,
@@ -76,7 +76,7 @@ def test_smoother_symbol_normalizes_system_diagonal():
 
 def test_system_symbol_hermitian_and_block_eigenvalues():
     k, J, delta0 = 3, 16, 2.3
-    A = lfa.symbol_system(k, J, delta0).entries
+    A = lfa.symbol_system(k, J, delta0)
     np.testing.assert_allclose(A, A.conj().T, atol=1e-13)
     lower = A[2:, 2:] / J**2  # base-frequency block
     theta = 2 * np.pi * k / J
@@ -88,7 +88,7 @@ def test_system_symbol_hermitian_and_block_eigenvalues():
 
 def test_restriction_values_at_zero_frequency():
     c = 0.5
-    R = lfa.symbol_restriction(0, 8, c).entries
+    R = lfa.symbol_restriction(0, 8, c)
     scale = 1.0 / (2 * np.sqrt(2.0))
     expected = np.array(
         [
@@ -100,14 +100,14 @@ def test_restriction_values_at_zero_frequency():
 
 
 def test_restriction_complex_at_quarter_frequency():
-    R = lfa.symbol_restriction(4, 16, 0.5).entries  # e^{i theta} = i
+    R = lfa.symbol_restriction(4, 16, 0.5)  # e^{i theta} = i
     assert np.abs(R.imag).max() > 0.1
 
 
 def test_prolongation_is_twice_adjoint():
     for k in range(4):
-        R = lfa.symbol_restriction(k, 8, 0.7).entries
-        P = lfa.symbol_prolongation(k, 8, 0.7).entries
+        R = lfa.symbol_restriction(k, 8, 0.7)
+        P = lfa.symbol_prolongation(k, 8, 0.7)
         np.testing.assert_array_equal(P, 2.0 * R.conj().T)
 
 
@@ -117,10 +117,10 @@ def test_coarse_symbol_is_product_of_symbols(seed):
     params = random_params(rng)
     J = 16
     for k in range(J // 2):
-        A = lfa.symbol_system(k, J, params.penalty).entries
-        R = lfa.symbol_restriction(k, J, params.discontinuity).entries
-        P = lfa.symbol_prolongation(k, J, params.discontinuity).entries
-        A0 = lfa.symbol_coarse(k, J, params.penalty, params.discontinuity).entries
+        A = lfa.symbol_system(k, J, params.penalty)
+        R = lfa.symbol_restriction(k, J, params.discontinuity)
+        P = lfa.symbol_prolongation(k, J, params.discontinuity)
+        A0 = lfa.symbol_coarse(k, J, params.penalty, params.discontinuity)
         scale = np.abs(A0).max()
         assert np.abs(R @ A @ P - A0).max() < 1e-12 * scale
         np.testing.assert_allclose(A0, A0.conj().T, atol=1e-12 * scale)
@@ -128,7 +128,7 @@ def test_coarse_symbol_is_product_of_symbols(seed):
 
 def test_error_symbol_rank_structure():
     params = MethodParams(0.7, 2.2, 0.3)
-    ev = np.sort(np.abs(np.linalg.eigvals(lfa.symbol_error(2, 8, params).entries)))
+    ev = np.sort(np.abs(np.linalg.eigvals(lfa.symbol_error(2, 8, params))))
     assert ev[0] < 1e-12 and ev[1] < 1e-12  # two structural zeros
 
 
@@ -156,7 +156,7 @@ def test_closed_form_matches_error_symbol():
     for _ in range(50):
         params = random_params(rng)
         for k in range(1, J // 2):
-            ev = np.linalg.eigvals(lfa.symbol_error(k, J, params).entries)
+            ev = np.linalg.eigvals(lfa.symbol_error(k, J, params))
             ev = ev[np.argsort(-np.abs(ev))][:2]
             cf = lfa.eigenvalues_closed_form(k, J, params)
             worst = max(
@@ -212,7 +212,7 @@ def test_flat_spectrum_at_clustering_triple(clustering_triple):
 
 def test_symbol_radius_matches_dense_radius(classical_params):
     ops = build_two_level(DiscretizationConfig(32, 2.0, PER), classical_params)
-    dense = np.abs(np.linalg.eigvals(deflate_constant(error_matrix(ops).entries))).max()
+    dense = np.abs(np.linalg.eigvals(deflate_constant(error_matrix(ops)))).max()
     assert abs(lfa.symbol_radius(classical_params) - dense) < 1e-6
 
 
@@ -226,7 +226,7 @@ def test_dense_error_spectrum_equals_symbol_union(J):
     for _ in range(3):
         params = random_params(rng)
         ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
-        dense = np.linalg.eigvals(error_matrix(ops).entries)
+        dense = np.linalg.eigvals(error_matrix(ops))
         sym = lfa.error_spectrum_symbols(J, params, kernel="pinv")
         assert lfa.multiset_deviation(dense, sym) < 1e-8
 
@@ -236,18 +236,21 @@ def test_dense_equivalence_projected_mode():
     params = random_params(rng)
     J = 8
     ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
-    dense = np.linalg.eigvals(deflate_constant(error_matrix(ops).entries))
+    dense = np.linalg.eigvals(deflate_constant(error_matrix(ops)))
     sym = lfa.error_spectrum_symbols(J, params, kernel="project")
     assert lfa.multiset_deviation(dense, sym) < 1e-8
 
 
 def test_fault_injection_breaks_equivalence():
+    # lfa-verify --inject-error hands the symbol side c + 1e-3; the
+    # comparison must see it far above its 1e-8 gate
     params = MethodParams(0.8, 2.0, 0.4)
+    nudged = MethodParams(0.8, 2.0, 0.4 + 1e-3)
     J = 8
     ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
-    dense = np.linalg.eigvals(error_matrix(ops).entries)
-    sym = lfa.error_spectrum_symbols(J, params, kernel="pinv", _flip_restriction_sign=True)
-    assert lfa.multiset_deviation(dense, sym) > 1e-8
+    dense = np.linalg.eigvals(error_matrix(ops))
+    assert lfa.multiset_deviation(dense, lfa.error_spectrum_symbols(J, params)) < 1e-8
+    assert lfa.multiset_deviation(dense, lfa.error_spectrum_symbols(J, nudged)) > 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +260,8 @@ def test_fault_injection_breaks_equivalence():
 def test_odd_parity_coarse_symbol_is_similar():
     # the odd-node variant flips the off-diagonal signs; spectra agree
     for k in range(4):
-        even = lfa.symbol_coarse(k, 8, 2.1, 0.35, parity=1).entries
-        odd = lfa.symbol_coarse(k, 8, 2.1, 0.35, parity=-1).entries
+        even = lfa.symbol_coarse(k, 8, 2.1, 0.35, parity=1)
+        odd = lfa.symbol_coarse(k, 8, 2.1, 0.35, parity=-1)
         S = np.diag([1.0, -1.0])
         np.testing.assert_allclose(S @ even @ S, odd, atol=1e-12 * np.abs(even).max())
         np.testing.assert_allclose(
@@ -269,11 +272,11 @@ def test_odd_parity_coarse_symbol_is_similar():
 def test_odd_parity_error_spectrum_matches_even():
     params = MethodParams(0.8, 1.9, 0.6)
     J, k = 8, 2
-    A = lfa.symbol_system(k, J, params.penalty).entries
+    A = lfa.symbol_system(k, J, params.penalty)
     Dinv = lfa.symbol_smoother_inv(params.penalty, 1.0 / J)
     for parity in (1, -1):
-        R = lfa.symbol_restriction(k, J, params.discontinuity, parity).entries
-        P = lfa.symbol_prolongation(k, J, params.discontinuity, parity).entries
+        R = lfa.symbol_restriction(k, J, params.discontinuity, parity)
+        P = lfa.symbol_prolongation(k, J, params.discontinuity, parity)
         A0 = R @ A @ P
         E = (np.eye(4) - P @ np.linalg.inv(A0) @ R @ A) @ (
             np.eye(4) - params.alpha * Dinv @ A

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import MethodParams
@@ -91,7 +92,46 @@ def test_system_residual_hand_values(classical_params):
     assert abs(r1 - (-1.0 / 9.0)) < 1e-14
     # first equation cancels identically at (alpha, delta0) = (1, 1)
     for c in (0.1, 0.4, 0.9):
-        assert abs(optimize._residual_vector((1.0, 1.0, c))[0]) < 1e-14
+        assert abs(optimize.clustering_residuals(1.0, 1.0, c)[0]) < 1e-14
+
+
+def test_residuals_degenerate_at_c_one():
+    with pytest.raises(lfa.DegenerateParameterError):
+        optimize.clustering_residuals(0.9, 1.5, 1.0)
+
+
+def hand_typed_residuals(alpha, d0, c):
+    """The three clustering conditions as published polynomials; the
+    reference for the residuals derived from the closed-form symbol."""
+    r1 = alpha + alpha * c * (d0 - 2) + (c - 1) * d0
+    r2 = alpha * (
+        3 * c**2 * d0 * (4 * d0 - 3) + c * (-12 * d0**2 + 9 * d0 + 1) + 4 * d0**2 - 2 * d0 - 1
+    ) - d0 * (c**2 * (8 * d0**2 - 4 * d0 - 1) + c * (-8 * d0**2 + 4 * d0 + 2) + 2 * d0**2 - 1)
+    den_l = (c - 1) ** 4 * d0**2
+    den_r = 2 * d0**2 * (
+        -2 * (2 * c**2 - 3 * c + 1) ** 2 * d0**2 + 4 * c * (c - 1) ** 3 * d0 + (c - 1) ** 4
+    )
+    lhs = 2 * alpha**2 * (c - 1) ** 2 * c * (c * ((d0 - 4) * d0 + 2) + 2 * (d0 - 1)) / den_l
+    rhs = (
+        4
+        * alpha**2
+        * (4 * (c - 1) * c * d0**2 - 3 * (c - 1) * c * d0 + c + d0 - 1)
+        * (c * (3 * (c - 1) * d0 - 2 * c + 3) + d0 - 1)
+        / den_r
+    )
+    return np.array([r1, r2, lhs - rhs])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.floats(0.0, 1.0),
+    d0=st.floats(1.0, 10.0, exclude_min=True),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_derived_residuals_match_hand_typed_polynomials(alpha, d0, c):
+    derived = optimize.clustering_residuals(alpha, d0, c)
+    ref = hand_typed_residuals(alpha, d0, c)
+    assert np.all(np.abs(derived - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_newton_reproduces_quartic_triple(clustering_triple):
@@ -174,6 +214,13 @@ def test_optimize_2d_descends_from_start(clustering_triple):
     assert rho_start < 1.0
     p = sol.params
     assert 0.0 < p.alpha <= 1.0 and p.penalty > 1.0 and 0.0 < p.discontinuity < 1.0
+
+
+def test_optimize_2d_periodic_contracts(clustering_triple):
+    # the periodic objective sees the spectrum without the constant mode
+    cfg = DiscretizationConfig(4, clustering_triple.penalty, BoundaryCondition.PERIODIC, 2)
+    sol = optimize.optimize_2d(cfg, clustering_triple, max_evals=20)
+    assert sol.rho < 0.9
 
 
 def test_optimize_2d_single_alpha_recovery():

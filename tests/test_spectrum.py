@@ -5,10 +5,15 @@ from hypothesis import given, settings, strategies as st
 from dgml.discretization import (
     BoundaryCondition,
     DiscretizationConfig,
-    OperatorRole,
     SizeCapError,
 )
-from dgml.twolevel import MethodParams, build_two_level, deflate_constant, error_matrix
+from dgml.twolevel import (
+    MethodParams,
+    build_two_level,
+    deflate_constant,
+    error_matrix,
+    preconditioner_matrix,
+)
 from dgml import lfa, spectrum
 from dgml.spectrum import Cluster
 
@@ -35,7 +40,7 @@ def test_eigenvalues_cap(monkeypatch):
 def test_error_block_eigenvalues_match_closed_form():
     params = MethodParams(0.85, 2.1, 0.4)
     k, J = 3, 16
-    eigs = spectrum.eigenvalues_dense(lfa.symbol_error(k, J, params).entries)
+    eigs = spectrum.eigenvalues_dense(lfa.symbol_error(k, J, params))
     cf = lfa.eigenvalues_closed_form(k, J, params)
     expected = np.array([0.0, 0.0, cf.lambda_plus, cf.lambda_minus])
     assert lfa.multiset_deviation(eigs, expected) < 1e-9
@@ -162,7 +167,7 @@ def test_dirichlet_clustering_spectrum(clustering_triple):
     # boundary-induced eigenvalues whose location depends on the boundary
     # closure (they stay inside the spectral radius for this one)
     ops = build_two_level(DiscretizationConfig(32, clustering_triple.penalty, DIR), clustering_triple)
-    report = spectrum.analyze(error_matrix(ops).entries, tol=1e-6)
+    report = spectrum.analyze(error_matrix(ops), tol=1e-6)
     assert sum(cl.count for cl in report.clusters) == 64
     big = {round(cl.center.real, 5): cl.count for cl in report.clusters if cl.count >= 14}
     assert big[-0.19732] >= 14 and big[0.19732] >= 14 and big[0.0] == 32
@@ -178,7 +183,7 @@ def test_refinement_preserves_cluster_centers(clustering_triple):
         ops = build_two_level(
             DiscretizationConfig(J, clustering_triple.penalty, PER), clustering_triple
         )
-        E = deflate_constant(error_matrix(ops).entries)
+        E = deflate_constant(error_matrix(ops))
         report = spectrum.analyze(E, tol=1e-6)
         main = sorted(
             (cl for cl in report.clusters if cl.count >= J // 4),
@@ -193,19 +198,16 @@ def test_refinement_preserves_cluster_centers(clustering_triple):
 
 
 def test_preconditioned_positivity(clustering_triple):
-    from dgml.twolevel import preconditioned_matrix
-
     ops = build_two_level(DiscretizationConfig(32, clustering_triple.penalty, DIR), clustering_triple)
-    eigs = spectrum.eigenvalues_dense(preconditioned_matrix(ops))
+    eigs = spectrum.eigenvalues_dense(preconditioner_matrix(ops) @ ops.A)
     assert eigs.real.min() > 0
     assert np.abs(eigs.imag).max() < 1e-8
 
 
 def test_analyze_accepts_eigenvalue_vector():
-    report = spectrum.analyze(np.array([1.0, 1.0, 2.0]), tol=1e-6, role=OperatorRole.ERROR)
+    report = spectrum.analyze(np.array([1.0, 1.0, 2.0]), tol=1e-6)
     assert report.spectral_radius == 2.0
     assert [cl.count for cl in report.clusters] == [2, 1]
-    assert report.operator_role is OperatorRole.ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -281,5 +283,5 @@ def test_fast_path_periodic_falls_back():
     cfg = DiscretizationConfig(8, 1.8, PER, 1)
     eigs = spectrum.two_level_error_eigenvalues(cfg, params)
     ops = build_two_level(cfg, params)
-    dense = spectrum.eigenvalues_dense(error_matrix(ops))
+    dense = spectrum.eigenvalues_dense(deflate_constant(error_matrix(ops)))
     assert lfa.multiset_deviation(eigs, dense) < 1e-10
