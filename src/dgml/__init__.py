@@ -19,6 +19,7 @@ from .twolevel import (
     MethodParams,
     SingularCoarseError,
     TwoLevelOperators,
+    apply_preconditioner,
     build_two_level,
     deflate_constant,
     error_matrix,
@@ -28,17 +29,14 @@ from .twolevel import (
 )
 from .lfa import (
     DegenerateParameterError,
-    SymbolEigenvalues,
     eigenvalues_closed_form,
     eigenvalues_closed_form_at,
     eigenvalues_over_theta,
     error_spectrum_symbols,
     multiset_deviation,
-    symbol_coarse,
     symbol_error,
     symbol_prolongation,
     symbol_restriction,
-    symbol_smoother_inv,
     symbol_system,
     symbol_radius,
 )

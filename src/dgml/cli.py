@@ -33,7 +33,7 @@ from .discretization import (
     source_vector,
 )
 from .solver import gmres
-from .twolevel import MethodParams, build_two_level, error_matrix, preconditioner_matrix
+from .twolevel import MethodParams, apply_preconditioner, build_two_level, error_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,12 +216,13 @@ def _series(pairs, rows, key, x, y):
     ]
 
 
-def _selected_params(args, allowed, config) -> list[tuple[str, MethodParams]]:
-    """Preset list, or a single custom triple when overrides are given; the
-    numeric-2d preset runs the 2D optimizer on the command's mesh."""
+def _selected_params(args, allowed, config, default=None) -> list[tuple[str, MethodParams]]:
+    """Preset list (default: all allowed), or a single custom triple when
+    overrides are given; the numeric-2d preset runs the 2D optimizer on the
+    command's mesh."""
     if args.preset and args.preset not in allowed:
         raise ConfigError(f"preset {args.preset!r} not in {allowed}")
-    names = (args.preset,) if args.preset else allowed
+    names = (args.preset,) if args.preset else default or allowed
 
     def resolve(name):
         if name == "numeric-2d":
@@ -273,17 +274,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gmres_sweep(args) -> int:
     cells = [int(s) for s in args.cells_list.split(",")]
-    presets = (args.preset,) if args.preset else ("classical", "clustering")
-    pairs = [(name, preset_params(name)) for name in presets]
+    config = DiscretizationConfig(cells[0], 2.0, BoundaryCondition(args.bc), 1)
+    pairs = _selected_params(args, PRESETS_1D, config, default=("classical", "clustering"))
     rows = []
     unconverged = []
     for name, params in pairs:
         for J in cells:
             cfg = DiscretizationConfig(J, params.penalty, BoundaryCondition(args.bc), 1)
             ops = build_two_level(cfg, params)
-            Minv = preconditioner_matrix(ops)
             b = source_vector(cfg)
-            report = gmres(lambda v: ops.A @ v, lambda v: Minv @ v, b, tol=args.tol)
+            report = gmres(lambda v: ops.A @ v, lambda v: apply_preconditioner(ops, v), b, tol=args.tol)
             relres = report.residual_history[-1] / report.residual_history[0]
             rows.append([J, name, report.iterations, relres])
             if not report.converged:
@@ -294,11 +294,8 @@ def cmd_gmres_sweep(args) -> int:
     if args.format in ("svg", "both"):
         svg_plot(f"{args.out}_gmres.svg", f"GMRES iterations to {args.tol:g}",
                  "cells J", "iterations", _series(pairs, rows, 1, 0, 2), lines=True)
-    spec = ExperimentSpec(
-        "gmres-sweep",
-        DiscretizationConfig(cells[0], 2.0, BoundaryCondition(args.bc), 1),
-        tuple(presets), args.out, args.format, args.tol, args.cluster_tol,
-    )
+    spec = ExperimentSpec("gmres-sweep", config, tuple(name for name, _ in pairs),
+                          args.out, args.format, args.tol, args.cluster_tol)
     write_meta(spec, pairs, {"cells_list": args.cells_list})
     for J, name, iters, relres in rows:
         print(f"J={J:4d} {name:12s} iterations={iters:3d} relres={relres:.3e}")
@@ -353,7 +350,7 @@ def cmd_lfa_verify(args) -> int:
             dense_eigs = spectrum.eigenvalues_dense(error_matrix(build_two_level(cfg, params)))
             if args.inject_error:  # the symbol side sees a nudged discontinuity
                 params = MethodParams(params.alpha, params.penalty, params.discontinuity + 1e-3)
-            sym_eigs = lfa.error_spectrum_symbols(J, params, kernel="pinv")
+            sym_eigs = lfa.error_spectrum_symbols(J, params)
             dev = lfa.multiset_deviation(dense_eigs, sym_eigs)
             worst = max(worst, dev)
             rows.append([str(J), name, fmt(dev)])

@@ -4,34 +4,32 @@ A periodic fine mesh with J cells couples each frequency k in [0, J/2) with
 its coarsening alias k - J/2.  Collecting the two dof components of both
 harmonics gives 4x4 fine-level blocks; the coarse level sees a single
 harmonic, giving 2x2 blocks, and the transfers are 2x4 / 4x2.  Throughout,
-theta = 2*pi*k/J and the coarse operator depends on k only through
-cos(2*theta) = cos(4*pi*k/J).
+theta = 2*pi*k/J.
+
+Every symbol takes k as a scalar or an integer array and returns its blocks
+stacked over k's shape: (..., 4, 4) for the system and error symbols,
+(..., 2, 4) for restriction and (..., 4, 2) for prolongation.
 
 Block layout: component order (value right of a node, value left of a node)
 and harmonic order (alias k - J/2 first, base frequency k second).  The
-node shared by coarse and fine mesh is taken at an even fine index; the odd
-choice flips the sign of the transfer cross terms and is spectrally
-equivalent (similarity by a sign flip), which the transfer and coarse
-symbols expose through their parity argument.
+node shared by coarse and fine mesh is taken at an even fine index.
 
 All blocks are the exact matrix representations of the dense periodic
 operators on the orthonormal Fourier pair bases (tests verify this
-entrywise against an FFT-based block diagonalization), so the product and
-spectral identities hold to rounding error:
+entrywise against an FFT-based block diagonalization).  The coarse symbol
+is the Galerkin product restriction @ system @ prolongation, built as such,
+and the smoother is the scalar h^2/delta0, so
 
-    coarse symbol = restriction @ system @ prolongation,
     prolongation = 2 * restriction^H,
-    union over k of eig(error symbol) = eig(dense error operator).
+    union over k of eig(error symbol) = eig(dense error operator)
 
-The nonzero eigenvalues of the 4x4 error symbol have the closed form
-lambda = center +/- sqrt(num/den) with polynomial center/num/den in
-(alpha, delta0, c) and cos(4*pi*k/J); eigenvalues_closed_form evaluates it.
+hold to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
+have the closed form lambda = center +/- sqrt(num/den) with polynomial
+center/num/den in (alpha, delta0, c) and cos(4*pi*k/J);
+eigenvalues_closed_form_at evaluates it on an array of cosines.
 """
 
 from __future__ import annotations
-
-import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,128 +40,87 @@ class DegenerateParameterError(ValueError):
     """Parameter combination puts a symbol denominator at zero."""
 
 
-@dataclass(frozen=True)
-class SymbolEigenvalues:
-    """Closed-form nonzero eigenvalues of the error symbol at one frequency."""
-
-    k: float
-    lambda_plus: complex
-    lambda_minus: complex
-    center: complex
-    radicand_num: complex
-    radicand_den: complex
-
-
-def _check_k(k: int, J: int):
-    if not 0 <= k < J // 2:
+def _frequencies(k, J: int) -> np.ndarray:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= J // 2)):
         raise ValueError(f"frequency index k={k} outside [0, {J // 2})")
+    return k
 
 
-def symbol_system(k: int, J: int, penalty: float) -> np.ndarray:
-    """4x4 symbol of the system matrix at the harmonic pair {k - J/2, k}.
+def symbol_system(k, J: int, penalty: float) -> np.ndarray:
+    """4x4 symbols of the system matrix at the harmonic pairs {k - J/2, k}.
 
     Each harmonic contributes a 2x2 block [[d, 1-delta0], [1-delta0, d]]
     with d = delta0 + cos(theta) at the alias k - J/2 (the shift by J/2
     flips the cosine's sign) and d = delta0 - cos(theta) at the base
     frequency; units of 1/h^2.
     """
-    _check_k(k, J)
-    theta = 2.0 * np.pi * k / J
-    off = 1.0 - penalty
-    d_alias = penalty + np.cos(theta)
-    d_base = penalty - np.cos(theta)
-    M = np.zeros((4, 4), dtype=complex)
-    M[0, 0] = M[1, 1] = d_alias
-    M[2, 2] = M[3, 3] = d_base
-    M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = off
-    M *= float(J) ** 2  # 1/h^2
-    return M
+    k = _frequencies(k, J)
+    cos = np.cos(2.0 * np.pi * k / J)
+    M = np.zeros(k.shape + (4, 4), dtype=complex)
+    M[..., 0, 0] = M[..., 1, 1] = penalty + cos
+    M[..., 2, 2] = M[..., 3, 3] = penalty - cos
+    M[..., 0, 1] = M[..., 1, 0] = M[..., 2, 3] = M[..., 3, 2] = 1.0 - penalty
+    return M * float(J) ** 2  # 1/h^2
 
 
-def symbol_smoother_inv(penalty: float, h: float) -> np.ndarray:
-    """Symbol of the smoother inverse, (h^2/delta0) * I4."""
-    return (h * h / penalty) * np.eye(4, dtype=complex)
-
-
-def symbol_restriction(k: int, J: int, c: float, parity: int = 1) -> np.ndarray:
-    """2x4 restriction symbol, rows = coarse components, cols = fine pair.
+def symbol_restriction(k, J: int, c: float) -> np.ndarray:
+    """2x4 restriction symbols, rows = coarse components, cols = fine pair.
 
     This is the exact block of the dense restriction on the orthonormal
     Fourier bases: 1/(2*sqrt(2)) times a bracket whose entries are
     1 +/- (c-1)e^{i theta} and +/- c e^{i theta} combinations, with the
-    (2,1) entry carrying a minus sign (the entry is -parity * c e^{-i
-    theta}; the dense oracle pins both the sign and the prefactor).
+    (2,1) entry carrying a minus sign (the entry is -c e^{-i theta}; the
+    dense oracle pins both the sign and the prefactor).
     """
-    _check_k(k, J)
-    e = np.exp(2j * np.pi * k / J)
+    e = np.exp(2j * np.pi * _frequencies(k, J) / J)
     ec = np.conj(e)
-    s = float(parity)
-    return np.array(
-        [
-            [1.0 + (c - 1.0) * e, -c * e, s * (1.0 - (c - 1.0) * e), s * c * e],
-            [-s * c * ec, s * (1.0 + (c - 1.0) * ec), c * ec, 1.0 - (c - 1.0) * ec],
-        ],
-        dtype=complex,
-    ) / (2.0 * np.sqrt(2.0))
+    entries = [
+        1.0 + (c - 1.0) * e, -c * e, 1.0 - (c - 1.0) * e, c * e,
+        -c * ec, 1.0 + (c - 1.0) * ec, c * ec, 1.0 - (c - 1.0) * ec,
+    ]
+    return np.stack(entries, axis=-1).reshape(e.shape + (2, 4)) / (2.0 * np.sqrt(2.0))
 
 
-def symbol_prolongation(k: int, J: int, c: float, parity: int = 1) -> np.ndarray:
-    """4x2 prolongation symbol, twice the conjugate transpose of restriction."""
-    return 2.0 * symbol_restriction(k, J, c, parity).conj().T
+def symbol_prolongation(k, J: int, c: float) -> np.ndarray:
+    """4x2 prolongation symbols, twice the conjugate transpose of restriction."""
+    return 2.0 * np.conj(np.swapaxes(symbol_restriction(k, J, c), -1, -2))
 
 
-def symbol_coarse(k: int, J: int, penalty: float, c: float, parity: int = 1) -> np.ndarray:
-    """2x2 coarse-operator symbol in closed form, units of 1/h^2.
+def symbol_error(k, J: int, params: MethodParams) -> np.ndarray:
+    """4x4 error symbols (I - P A0^{-1} R A)(I - alpha s A) at frequencies k.
 
-    Coincides with restriction @ system @ prolongation built from the other
-    symbols to rounding error (tests enforce 1e-12); the bracket depends on
-    k only through cos/exp of 4*pi*k/J.
+    A0 = R A P is the Galerkin coarse symbol and s = h^2/delta0 the smoother.
+    A0 is singular exactly at the kernel frequency k = 0 (constant vector),
+    where its pseudo-inverse solves on the complement and the constant
+    direction keeps eigenvalue 1, as in the dense periodic operator; a
+    singular A0 at any other k raises DegenerateParameterError.
     """
-    _check_k(k, J)
-    d0 = penalty
-    w = np.exp(4j * np.pi * k / J)
-    cosw = np.cos(4.0 * np.pi * k / J)
-    s = float(parity)
-    diag = 0.5 * (c * (4.0 * (c - 1.0) * d0 - 2.0 * c + 3.0) + (c - 1.0) * cosw + 2.0 * d0 - 1.0)
-    cross = -(2.0 * c - 1.0) * (c * (2.0 * d0 - 1.0) - d0 + 1.0)
-    upper = 0.5 * s * (cross * w - c - d0 + 1.0)
-    lower = 0.5 * s * (cross * np.conj(w) - c - d0 + 1.0)
-    return np.array([[diag, upper], [lower, diag]], dtype=complex) * float(J) ** 2
-
-
-def symbol_error(k: int, J: int, params: MethodParams, coarse_inverse: str = "solve") -> np.ndarray:
-    """4x4 error symbol (I - P A0^{-1} R A)(I - alpha Dinv A) at frequency k.
-
-    The coarse symbol is singular at the kernel frequency k = 0 (constant
-    vector); pass coarse_inverse="pinv" there, or "project" to additionally
-    compress the block onto the complement of the constant direction.
-    """
-    _check_k(k, J)
-    if coarse_inverse not in ("solve", "pinv", "project"):
-        raise ValueError(f"unknown coarse_inverse mode {coarse_inverse!r}")
+    k = _frequencies(k, J)
     A = symbol_system(k, J, params.penalty)
-    Dinv = symbol_smoother_inv(params.penalty, 1.0 / J)
-    R = symbol_restriction(k, J, params.discontinuity)
+    RA = symbol_restriction(k, J, params.discontinuity) @ A
     P = symbol_prolongation(k, J, params.discontinuity)
-    A0 = symbol_coarse(k, J, params.penalty, params.discontinuity)
-    if coarse_inverse == "solve":
-        if abs(np.linalg.det(A0)) < 1e-12 * max(np.linalg.norm(A0), 1.0):
-            raise DegenerateParameterError(
-                f"coarse symbol singular at k={k} (kernel frequency); "
-                "use coarse_inverse='pinv' or 'project'"
-            )
-        A0inv = np.linalg.inv(A0)
-    else:
-        A0inv = np.linalg.pinv(A0, rcond=1e-10)
-    E = (np.eye(4) - P @ A0inv @ R @ A) @ (np.eye(4) - params.alpha * Dinv @ A)
-    if coarse_inverse == "project":
-        # the constant fine vector lives in the base harmonic (second
-        # block) with equal components: kill that direction on both sides
-        v = np.zeros(4, dtype=complex)
-        v[2] = v[3] = 1.0 / np.sqrt(2.0)
-        Pi = np.eye(4) - np.outer(v, v.conj())
-        E = Pi @ E @ Pi
-    return E
+    A0 = RA @ P
+    kernel = k == 0
+    A0inv = np.empty_like(A0)
+    A0inv[kernel] = np.linalg.pinv(A0[kernel], rcond=1e-10)
+    rest = A0[~kernel]
+    singular = np.abs(np.linalg.det(rest)) < 1e-12 * np.maximum(np.linalg.norm(rest, axis=(-2, -1)), 1.0)
+    if np.any(singular):
+        raise DegenerateParameterError(
+            f"coarse symbol singular at k={k[~kernel][singular]} (off the kernel frequency)"
+        )
+    A0inv[~kernel] = np.linalg.inv(rest)
+    h = 1.0 / J
+    s = h * h / params.penalty
+    eye = np.eye(4)
+    # updated in place: at J in the thousands the (J/2, 4, 4) stacks are the
+    # largest temporaries
+    coarse = P @ A0inv @ RA
+    np.subtract(eye, coarse, out=coarse)
+    A *= -params.alpha * s
+    A += eye
+    return coarse @ A
 
 
 def _coefficients(alpha: float, d0: float, c: float):
@@ -204,29 +161,26 @@ def _coefficients(alpha: float, d0: float, c: float):
     return (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2)
 
 
-def eigenvalues_closed_form_at(cosine: float, params: MethodParams, k: float = np.nan) -> SymbolEigenvalues:
-    """Closed-form eigenvalue pair at a given value of cos(4*pi*k/J)."""
-    alpha, d0, c = params.as_tuple()
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(alpha, d0, c)
-    x = cosine
+def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
+    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
+    cos(4*pi*k/J); a scalar or array cosine gives a (..., 2) complex array."""
+    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*params.as_tuple())
+    x = np.asarray(cosine, dtype=float)
     den = den0 + den1 * x
     radicand_den = s0 + s1 * x + s2 * x * x
-    if abs(den) < 1e-14 or abs(radicand_den) < 1e-300:
+    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
+    if np.any(bad):
         raise DegenerateParameterError(
-            f"degenerate eigenvalue expression at cos={cosine}: zero denominator"
+            f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator"
         )
-    center = complex((num0 + num1 * x) / den)
-    radicand_num = complex(r0 + r1 * x + r2 * x * x)
-    root = cmath.sqrt(radicand_num / radicand_den)
-    return SymbolEigenvalues(
-        k, center + root, center - root, center, radicand_num, complex(radicand_den)
-    )
+    center = (num0 + num1 * x) / den
+    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
+    return np.stack([center + root, center - root], axis=-1)
 
 
-def eigenvalues_closed_form(k: int, J: int, params: MethodParams) -> SymbolEigenvalues:
-    """Closed-form nonzero eigenvalues of the error symbol at frequency k."""
-    _check_k(k, J)
-    return eigenvalues_closed_form_at(np.cos(4.0 * np.pi * k / J), params, k=float(k))
+def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
+    """Closed-form nonzero eigenvalues of the error symbols at frequencies k."""
+    return eigenvalues_closed_form_at(np.cos(4.0 * np.pi * _frequencies(k, J) / J), params)
 
 
 def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +189,7 @@ def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np
     Returns the grid and an (npoints, 2) array of (lambda_plus, lambda_minus).
     """
     thetas = np.linspace(0.0, 2.0 * np.pi, npoints, endpoint=False)
-    pairs = np.empty((npoints, 2), dtype=complex)
-    for i, t in enumerate(thetas):
-        ev = eigenvalues_closed_form_at(np.cos(t), params)
-        pairs[i, 0] = ev.lambda_plus
-        pairs[i, 1] = ev.lambda_minus
-    return thetas, pairs
+    return thetas, eigenvalues_closed_form_at(np.cos(thetas), params)
 
 
 def symbol_radius(params: MethodParams, npoints: int = 256) -> float:
@@ -253,18 +202,11 @@ def symbol_radius(params: MethodParams, npoints: int = 256) -> float:
     return float(np.max(np.abs(pairs)))
 
 
-def error_spectrum_symbols(J: int, params: MethodParams, kernel: str = "pinv") -> np.ndarray:
-    """Union over k in [0, J/2) of the error-symbol eigenvalues (2J values).
-
-    kernel selects the treatment of the singular k = 0 coarse block:
-    "pinv" solves on the complement (the constant direction then shows its
-    eigenvalue 1), "project" additionally compresses the k = 0 block onto
-    the complement of the constant direction (that eigenvalue becomes 0).
-    """
-    return np.concatenate([
-        np.linalg.eigvals(symbol_error(k, J, params, coarse_inverse=kernel if k == 0 else "solve"))
-        for k in range(J // 2)
-    ])
+def error_spectrum_symbols(J: int, params: MethodParams) -> np.ndarray:
+    """Union over k in [0, J/2) of the error-symbol eigenvalues (2J values),
+    k-major: four values per frequency, k = 0 first.  The constant direction
+    of the k = 0 block keeps its eigenvalue 1."""
+    return np.linalg.eigvals(symbol_error(np.arange(J // 2), J, params)).ravel()
 
 
 def multiset_deviation(a, b) -> float:

@@ -161,8 +161,7 @@ def clustering_system_residuals(params: MethodParams) -> tuple[float, float, flo
 
 def predicted_radius(params: MethodParams) -> float:
     """|lambda| predicted by the closed form at the zero phase."""
-    ev = lfa.eigenvalues_closed_form_at(1.0, params)
-    return max(abs(ev.lambda_plus), abs(ev.lambda_minus))
+    return float(np.max(np.abs(lfa.eigenvalues_closed_form_at(1.0, params))))
 
 
 def clustering_parameters() -> ClusteringSolution:

@@ -49,25 +49,25 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     if beta == 0.0:
         return SolveReport(0, history, False, np.zeros(n), float(np.linalg.norm(b)))
 
-    V = np.zeros((n, max_iter + 1))
+    V = np.zeros((max_iter + 1, n))  # basis as rows: a solve touches only the rows it uses
     H = np.zeros((max_iter + 1, max_iter))
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter)
     g = np.zeros(max_iter + 1)
-    V[:, 0] = r0 / beta
+    V[0] = r0 / beta
     g[0] = beta
 
     converged = False
     m = 0
     for j in range(max_iter):
-        w = apply_M(apply_A(V[:, j]))
+        w = apply_M(apply_A(V[j]))
         for i in range(j + 1):  # modified Gram-Schmidt
-            H[i, j] = V[:, i] @ w
-            w = w - H[i, j] * V[:, i]
+            H[i, j] = V[i] @ w
+            w = w - H[i, j] * V[i]
         H[j + 1, j] = np.linalg.norm(w)
         happy = H[j + 1, j] <= 1e-14 * beta
         if not happy:
-            V[:, j + 1] = w / H[j + 1, j]
+            V[j + 1] = w / H[j + 1, j]
         for i in range(j):  # apply stored rotations to the new column
             t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
             H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -88,7 +88,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
             break
 
     y = np.linalg.solve(H[:m, :m], g[:m]) if m else np.zeros(0)
-    x = V[:, :m] @ y
+    x = y @ V[:m]
     true_res = float(np.linalg.norm(b - apply_A(x)))
     return SolveReport(m, history, converged, x, true_res)
 

@@ -153,6 +153,14 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
     return Minv
 
 
+def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
+    """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
+    then the coarse correction of its residual.  Equals
+    preconditioner_matrix(ops) @ g without forming the n x n matrix."""
+    x = ops.params.alpha * ops.smoother_scale * g
+    return x + ops.P @ (ops.A0inv @ (ops.R @ (g - ops.A @ x)))
+
+
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
     two-level setup."""

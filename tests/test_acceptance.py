@@ -139,7 +139,7 @@ def test_criterion_05_lfa_master_oracle(clustering_solution, alpha_delta_params)
         for params in triples:
             ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
             dense = np.linalg.eigvals(error_matrix(ops))
-            sym = lfa.error_spectrum_symbols(J, params, kernel="pinv")
+            sym = lfa.error_spectrum_symbols(J, params)
             worst = max(worst, lfa.multiset_deviation(dense, sym))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 30.0
@@ -160,7 +160,7 @@ def test_criterion_06_closed_form_check():
             ev = np.linalg.eigvals(lfa.symbol_error(k, J, params))
             ev = ev[np.argsort(-np.abs(ev))][:2]
             cf = lfa.eigenvalues_closed_form(k, J, params)
-            worst = max(worst, lfa.multiset_deviation(ev, [cf.lambda_plus, cf.lambda_minus]))
+            worst = max(worst, lfa.multiset_deviation(ev, cf))
     ok = worst < 1e-9
     report(6, ok, f"worst |closed form - eigensolve| {worst:.2e}")
     assert worst < 1e-9

@@ -124,6 +124,26 @@ def test_gmres_sweep_unconverged_is_numerical_failure(tmp_path, capsys):
     assert "J=16 classical" in capsys.readouterr().err
 
 
+def test_gmres_sweep_unknown_preset_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--preset", "nope") == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_gmres_sweep_rejects_2d_preset(tmp_path, capsys):
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--preset", "clustering-1d") == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_gmres_sweep_custom_override(tmp_path):
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--preset", "clustering",
+               "--alpha", "0.5") == 0
+    lines = read(tmp_path, "_gmres.csv").strip().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[1] == "custom"
+    meta = read(tmp_path, "_meta.txt")
+    assert "presets=custom" in meta
+    assert "params_custom=alpha=5.000000000000e-01," in meta
+
+
 def test_lfa_verify_passes(tmp_path):
     assert run(tmp_path, "lfa-verify", "--cells-list", "4,8") == 0
     lines = read(tmp_path, "_verify.csv").strip().splitlines()

@@ -42,7 +42,7 @@ def test_error_block_eigenvalues_match_closed_form():
     k, J = 3, 16
     eigs = spectrum.eigenvalues_dense(lfa.symbol_error(k, J, params))
     cf = lfa.eigenvalues_closed_form(k, J, params)
-    expected = np.array([0.0, 0.0, cf.lambda_plus, cf.lambda_minus])
+    expected = np.array([0.0, 0.0, *cf])
     assert lfa.multiset_deviation(eigs, expected) < 1e-9
 
 
@@ -50,7 +50,7 @@ def test_dense_error_equals_symbol_union():
     params = MethodParams(0.66, 1.75, 0.58)
     ops = build_two_level(DiscretizationConfig(8, params.penalty, PER), params)
     dense = spectrum.eigenvalues_dense(error_matrix(ops))
-    sym = lfa.error_spectrum_symbols(8, params, kernel="pinv")
+    sym = lfa.error_spectrum_symbols(8, params)
     assert lfa.multiset_deviation(dense, sym) < 1e-8
 
 
@@ -61,11 +61,9 @@ def test_dense_error_equals_symbol_union():
 def test_cluster_counts_from_flat_symbol_sweep(clustering_triple):
     # J = 32: sixteen phases, each contributing the pair +/-rho and two
     # structural zeros
-    lams = []
-    for k in range(16):
-        cf = lfa.eigenvalues_closed_form(k, 32, clustering_triple)
-        lams += [cf.lambda_plus, cf.lambda_minus, 0.0, 0.0]
-    clusters = spectrum.cluster_eigenvalues(np.array(lams), 1e-6)
+    pairs = lfa.eigenvalues_closed_form(np.arange(16), 32, clustering_triple)
+    lams = np.concatenate([pairs.ravel(), np.zeros(32)])
+    clusters = spectrum.cluster_eigenvalues(lams, 1e-6)
     assert [cl.count for cl in clusters] == [16, 32, 16]
     np.testing.assert_allclose(
         [cl.center.real for cl in clusters], [-0.19732, 0.0, 0.19732], atol=1e-4
