@@ -21,7 +21,6 @@ from .twolevel import (
     TwoLevelOperators,
     apply_preconditioner,
     build_two_level,
-    deflate_constant,
     error_matrix,
     preconditioner_matrix,
     prolongation_matrix,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,19 +51,6 @@ _COLORS = {
     "numeric-2d": "#d62728",
     "custom": "#9467bd",
 }
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved description of one CLI run, recorded in the meta sidecar."""
-
-    command: str
-    config: DiscretizationConfig | None
-    presets: tuple[str, ...]
-    out: str
-    format: str
-    tol: float
-    cluster_tol: float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,20 +92,21 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_meta(spec: ExperimentSpec, pairs, extra: dict | None = None) -> None:
-    path = f"{spec.out}_meta.txt"
-    with open(path, "w") as fh:
+def write_meta(args, config: DiscretizationConfig | None, pairs, extra: dict | None = None) -> None:
+    """Key=value sidecar: the command's arguments, resolved mesh and the
+    parameter triple of each preset in pairs."""
+    with open(f"{args.out}_meta.txt", "w") as fh:
         fh.write(f"version={__version__}\n")
         fh.write(f"dense_cap={dense_cap()}\n")
-        fh.write(f"command={spec.command}\n")
-        if spec.config is not None:
-            fh.write(f"cells={spec.config.cells_per_dim}\n")
-            fh.write(f"bc={spec.config.bc.value}\n")
-            fh.write(f"dim={spec.config.dim}\n")
-        fh.write(f"format={spec.format}\n")
-        fh.write(f"tol={spec.tol!r}\n")
-        fh.write(f"cluster_tol={spec.cluster_tol!r}\n")
-        fh.write(f"presets={','.join(spec.presets)}\n")
+        fh.write(f"command={args.command}\n")
+        if config is not None:
+            fh.write(f"cells={config.cells_per_dim}\n")
+            fh.write(f"bc={config.bc.value}\n")
+            fh.write(f"dim={config.dim}\n")
+        fh.write(f"format={args.format}\n")
+        fh.write(f"tol={args.tol!r}\n")
+        fh.write(f"cluster_tol={args.cluster_tol!r}\n")
+        fh.write(f"presets={','.join(name for name, _ in pairs)}\n")
         for key, value in _params_meta(pairs).items():
             fh.write(f"{key}={value}\n")
         for key, value in (extra or {}).items():
@@ -255,15 +242,13 @@ def cmd_spectrum(args) -> int:
     dim = 1 if args.command == "spectrum1d" else 2
     config = DiscretizationConfig(args.cells, 2.0, BoundaryCondition(args.bc), dim)
     pairs = _selected_params(args, PRESETS_1D if dim == 1 else PRESETS_2D, config)
-    spec = ExperimentSpec(args.command, config, tuple(n for n, _ in pairs),
-                          args.out, args.format, args.tol, args.cluster_tol)
     rows = _spectrum_rows(pairs, config)
     if args.format in ("csv", "both"):
         write_csv(f"{args.out}_spectrum.csv", ["re", "im", "preset"], rows)
     if args.format in ("svg", "both"):
         svg_plot(f"{args.out}_spectrum.svg", f"{dim}D error-operator spectrum, J={args.cells}",
                  "Re", "Im", _series(pairs, rows, 2, 0, 1))
-    write_meta(spec, pairs, {"max_evals": args.max_evals} if dim == 2 else None)
+    write_meta(args, config, pairs, {"max_evals": args.max_evals} if dim == 2 else None)
     for name, _ in pairs:
         sub = np.array([complex(r[0], r[1]) for r in rows if r[2] == name])
         report = spectrum.analyze(sub, tol=args.cluster_tol)
@@ -294,9 +279,7 @@ def cmd_gmres_sweep(args) -> int:
     if args.format in ("svg", "both"):
         svg_plot(f"{args.out}_gmres.svg", f"GMRES iterations to {args.tol:g}",
                  "cells J", "iterations", _series(pairs, rows, 1, 0, 2), lines=True)
-    spec = ExperimentSpec("gmres-sweep", config, tuple(name for name, _ in pairs),
-                          args.out, args.format, args.tol, args.cluster_tol)
-    write_meta(spec, pairs, {"cells_list": args.cells_list})
+    write_meta(args, config, pairs, {"cells_list": args.cells_list})
     for J, name, iters, relres in rows:
         print(f"J={J:4d} {name:12s} iterations={iters:3d} relres={relres:.3e}")
     if unconverged:
@@ -326,9 +309,7 @@ def cmd_optimize(args) -> int:
     ]
     write_csv(f"{args.out}_params.csv", ["name", "value"],
               [[r[0], fmt(r[1])] for r in rows])
-    spec = ExperimentSpec("optimize", None, ("clustering",), args.out,
-                          args.format, args.tol, args.cluster_tol)
-    write_meta(spec, [("clustering", sol.params)])
+    write_meta(args, None, [("clustering", sol.params)])
     for name, value in rows:
         print(f"{name} = {value:.12e}")
     return EXIT_OK
@@ -355,13 +336,8 @@ def cmd_lfa_verify(args) -> int:
             worst = max(worst, dev)
             rows.append([str(J), name, fmt(dev)])
     write_csv(f"{args.out}_verify.csv", ["J", "params", "max_deviation"], rows)
-    spec = ExperimentSpec(
-        "lfa-verify",
-        DiscretizationConfig(cells[0], 2.0, BoundaryCondition.PERIODIC, 1),
-        tuple(name for name, _ in cases), args.out, args.format, args.tol,
-        args.cluster_tol,
-    )
-    write_meta(spec, cases, {"cells_list": args.cells_list, "inject_error": args.inject_error})
+    write_meta(args, DiscretizationConfig(cells[0], 2.0, BoundaryCondition.PERIODIC, 1), cases,
+               {"cells_list": args.cells_list, "inject_error": args.inject_error})
     for J, name, dev in rows:
         print(f"J={J:>3s} {name:12s} deviation={dev}")
     if worst > 1e-8:

@@ -66,6 +66,14 @@ def dense_cap() -> int:
     return int(os.environ.get("DGML_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
+def check_dense_cap(rows: int) -> None:
+    """Raise SizeCapError if a dense operator with this many rows exceeds the cap."""
+    if rows > dense_cap():
+        raise SizeCapError(
+            f"{rows} rows exceed the dense cap {dense_cap()} (set DGML_DENSE_CAP to raise it)"
+        )
+
+
 @dataclass(frozen=True)
 class DiscretizationConfig:
     """Mesh size J, jump penalty, boundary condition and spatial dimension."""
@@ -106,6 +114,7 @@ def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     J = config.cells_per_dim
     delta0 = config.penalty
     n = 2 * J
+    check_dense_cap(n)
     periodic = config.bc is BoundaryCondition.PERIODIC
     A = np.zeros((n, n))
     for i in range(n):
@@ -129,11 +138,7 @@ def assemble_2d(config: DiscretizationConfig) -> np.ndarray:
     if config.dim != 2:
         raise ConfigError("assemble_2d requires dim=2")
     n1 = 2 * config.cells_per_dim
-    if n1 * n1 > dense_cap():
-        raise SizeCapError(
-            f"2D operator has {n1 * n1} rows, exceeding the dense cap "
-            f"{dense_cap()} (set DGML_DENSE_CAP to raise it)"
-        )
+    check_dense_cap(n1 * n1)
     A1 = assemble_1d(config.with_dim(1))
     eye = np.eye(n1)
     return np.kron(A1, eye) + np.kron(eye, A1)

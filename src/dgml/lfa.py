@@ -16,9 +16,11 @@ node shared by coarse and fine mesh is taken at an even fine index.
 
 All blocks are the exact matrix representations of the dense periodic
 operators on the orthonormal Fourier pair bases (tests verify this
-entrywise against an FFT-based block diagonalization).  The coarse symbol
+entrywise against an FFT-based block diagonalization).  In 2D, at
+k = (kx, ky), the blocks are the Kronecker products A(kx) (x) I + I (x) A(ky),
+R(kx) (x) R(ky) and P(kx) (x) P(ky) of the 1D ones.  The coarse symbol
 is the Galerkin product restriction @ system @ prolongation, built as such,
-and the smoother is the scalar h^2/delta0, so
+and the smoother is the scalar h^2/(dim*delta0), so
 
     prolongation = 2 * restriction^H,
     union over k of eig(error symbol) = eig(dense error operator)
@@ -87,21 +89,39 @@ def symbol_prolongation(k, J: int, c: float) -> np.ndarray:
     return 2.0 * np.conj(np.swapaxes(symbol_restriction(k, J, c), -1, -2))
 
 
-def symbol_error(k, J: int, params: MethodParams) -> np.ndarray:
-    """4x4 error symbols (I - P A0^{-1} R A)(I - alpha s A) at frequencies k.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two block stacks, broadcast over the stack axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
-    A0 = R A P is the Galerkin coarse symbol and s = h^2/delta0 the smoother.
-    A0 is singular exactly at the kernel frequency k = 0 (constant vector),
-    where its pseudo-inverse solves on the complement and the constant
-    direction keeps eigenvalue 1, as in the dense periodic operator; a
-    singular A0 at any other k raises DegenerateParameterError.
+
+def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
+    """Error symbols (I - P A0^{-1} R A)(I - alpha s A) at frequencies k:
+    4x4 blocks in 1D, 16x16 in 2D, where k has a trailing (kx, ky) axis.
+
+    A0 = R A P is the Galerkin coarse symbol and s = h^2/(dim*delta0) the
+    smoother.  A0 is singular exactly at the kernel frequency k = 0
+    (constant vector), where its pseudo-inverse solves on the complement and
+    the constant direction keeps eigenvalue 1, as in the dense periodic
+    operator; a singular A0 at any other k raises DegenerateParameterError.
     """
-    k = _frequencies(k, J)
-    A = symbol_system(k, J, params.penalty)
-    RA = symbol_restriction(k, J, params.discontinuity) @ A
-    P = symbol_prolongation(k, J, params.discontinuity)
+    k = np.asarray(k)
+    d0, c = params.penalty, params.discontinuity
+    if dim == 1:
+        A = symbol_system(k, J, d0)
+        R, P = symbol_restriction(k, J, c), symbol_prolongation(k, J, c)
+        kernel = k == 0
+    elif dim == 2 and k.shape[-1:] == (2,):
+        kx, ky = k[..., 0], k[..., 1]
+        I4 = np.eye(4)
+        A = _kron(symbol_system(kx, J, d0), I4) + _kron(I4, symbol_system(ky, J, d0))
+        R = _kron(symbol_restriction(kx, J, c), symbol_restriction(ky, J, c))
+        P = _kron(symbol_prolongation(kx, J, c), symbol_prolongation(ky, J, c))
+        kernel = (kx == 0) & (ky == 0)
+    else:
+        raise ValueError(f"need dim 1, or dim 2 with a trailing (kx, ky) axis; got {dim}, k of shape {k.shape}")
+    RA = R @ A
     A0 = RA @ P
-    kernel = k == 0
     A0inv = np.empty_like(A0)
     A0inv[kernel] = np.linalg.pinv(A0[kernel], rcond=1e-10)
     rest = A0[~kernel]
@@ -111,9 +131,8 @@ def symbol_error(k, J: int, params: MethodParams) -> np.ndarray:
             f"coarse symbol singular at k={k[~kernel][singular]} (off the kernel frequency)"
         )
     A0inv[~kernel] = np.linalg.inv(rest)
-    h = 1.0 / J
-    s = h * h / params.penalty
-    eye = np.eye(4)
+    s = (1.0 / J) ** 2 / (dim * d0)
+    eye = np.eye(A.shape[-1])
     # updated in place: at J in the thousands the (J/2, 4, 4) stacks are the
     # largest temporaries
     coarse = P @ A0inv @ RA
@@ -202,11 +221,14 @@ def symbol_radius(params: MethodParams, npoints: int = 256) -> float:
     return float(np.max(np.abs(pairs)))
 
 
-def error_spectrum_symbols(J: int, params: MethodParams) -> np.ndarray:
-    """Union over k in [0, J/2) of the error-symbol eigenvalues (2J values),
-    k-major: four values per frequency, k = 0 first.  The constant direction
-    of the k = 0 block keeps its eigenvalue 1."""
-    return np.linalg.eigvals(symbol_error(np.arange(J // 2), J, params)).ravel()
+def error_spectrum_symbols(J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
+    """Union over the frequency grid of the error-symbol eigenvalues
+    ((2J)^dim values), frequency-major: 4^dim values per frequency, k = 0
+    first.  In 2D the grid (kx, ky) in [0, J/2)^2 runs kx-major.  The
+    constant direction of the k = 0 block keeps its eigenvalue 1."""
+    half = np.arange(J // 2)
+    k = half if dim == 1 else np.stack(np.meshgrid(half, half, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.linalg.eigvals(symbol_error(k, J, params, dim)).ravel()
 
 
 def multiset_deviation(a, b) -> float:

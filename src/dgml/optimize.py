@@ -6,7 +6,8 @@ symbol's eigenvalues; its components are roots of three quartics, isolated
 and polished here without external solvers.  Baseline choices (relaxation
 only, or relaxation plus penalty, at continuous interpolation c = 1/2) are
 found by direct minimization of the two-level convergence factor, and the
-2D optimum by Nelder-Mead on the dense spectral radius.
+2D optimum by Nelder-Mead on the spectral radius of the 2D error operator
+(``spectrum.two_level_error_eigenvalues``).
 """
 
 from __future__ import annotations

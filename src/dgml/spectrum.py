@@ -5,9 +5,11 @@ mesh reflection splits them into even and odd halves, the nonzero spectrum
 follows from the coarse-space complement identity (see
 ``two_level_error_eigenvalues``), and the 2D inverse is applied by
 tensor-product fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964).  The dense eigensolve of the assembled operator, with the constant
-mode deflated, serves periodic problems and is the oracle the tests
-compare against.
+1964).  Periodic error spectra are the union of the Fourier block symbols'
+eigenvalues (``lfa.error_spectrum_symbols``), in 2D the Kronecker products
+of the 1D blocks.  Neither path assembles an operator of size ndof; the
+dense eigensolve of the assembled operator is the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -16,21 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    BoundaryCondition,
-    DiscretizationConfig,
-    assemble_1d,
-    dense_cap,
-    SizeCapError,
-)
-from .twolevel import (
-    MethodParams,
-    build_two_level,
-    deflate_constant,
-    error_matrix,
-    prolongation_matrix,
-    smoother_scale,
-)
+from . import lfa
+from .discretization import BoundaryCondition, DiscretizationConfig, assemble_1d, check_dense_cap
+from .twolevel import MethodParams, prolongation_matrix, smoother_scale
 
 
 class EigensolveError(np.linalg.LinAlgError):
@@ -56,11 +46,7 @@ def eigenvalues_dense(M) -> np.ndarray:
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if A.shape[0] > dense_cap():
-        raise SizeCapError(
-            f"{A.shape[0]} rows exceed the dense cap {dense_cap()} "
-            "(set DGML_DENSE_CAP to raise it)"
-        )
+    check_dense_cap(A.shape[0])
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -115,11 +101,12 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     return clusters
 
 
-def analyze(M_or_eigs, tol: float = 1e-6) -> SpectrumReport:
-    """Spectrum report (eigenvalues, radius, clusters) of a matrix or of an
-    eigenvalue multiset."""
-    arr = np.asarray(M_or_eigs)
-    eigs = arr.astype(complex, copy=False) if arr.ndim == 1 else eigenvalues_dense(arr)
+def analyze(eigs, tol: float = 1e-6) -> SpectrumReport:
+    """Spectrum report (eigenvalues, radius, clusters) of an eigenvalue
+    multiset."""
+    eigs = np.asarray(eigs, dtype=complex)
+    if eigs.ndim != 1:
+        raise ValueError(f"eigenvalues must form a 1D array, got shape {eigs.shape}")
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     return SpectrumReport(eigs, radius, cluster_eigenvalues(eigs, tol))
 
@@ -145,9 +132,10 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
     Dirichlet systems return a complex array: the eigenvalues on the
     complement of the coarse space in ascending order, then the
     coarse-dimension structural zeros.  Periodic (singular) systems return
-    the dense eigenvalues of the error matrix compressed to the complement
-    of the constant vector (``deflate_constant``): the constant mode, which
-    the operator leaves unchanged (eigenvalue 1), shows as 0 instead.
+    the Fourier symbol eigenvalues (``lfa.error_spectrum_symbols``) with the
+    constant mode deflated: E fixes the constant vector, which lies in the
+    k = 0 block, so compressing E to its complement turns exactly one
+    eigenvalue 1 of that block into 0 (whichever, should two equal 1).
 
     Dirichlet systems are symmetric positive definite and the spectrum is
     computed exactly from the 1D operators A1 and P1 alone:
@@ -173,14 +161,14 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
       N^T A^{-1} N is assembled from half-size factors only; in 1D the
       block is N^T A_a^{-1} N.
 
-    No operator of size ndof is assembled on this path.
+    No operator of size ndof is assembled on either path.
     """
-    n = config.ndof
-    if n > dense_cap():
-        raise SizeCapError(f"{n} rows exceed the dense cap {dense_cap()}")
+    check_dense_cap(config.ndof)
+    alpha_s = params.alpha * smoother_scale(config, params)  # also checks the penalties agree
     if config.bc is BoundaryCondition.PERIODIC:
-        return eigenvalues_dense(deflate_constant(error_matrix(build_two_level(config, params))))
-    alpha_s = params.alpha * smoother_scale(config, params)
+        eigs = lfa.error_spectrum_symbols(config.cells_per_dim, params, config.dim)
+        eigs[np.argmin(np.abs(eigs[: 4**config.dim] - 1.0))] = 0.0
+        return eigs
     line = config.with_dim(1)
     halves = []  # per mirror half: eig(A_h) and its coarse/complement bases in A_h's eigenbasis
     for A_h, P_h in zip(

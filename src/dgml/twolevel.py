@@ -73,15 +73,13 @@ def smoother_scale(config: DiscretizationConfig, params: MethodParams) -> float:
     """The scalar s of the inverse cell block-Jacobi smoother Dinv = s * I.
 
     1D blocks are delta0/h^2 times the identity, 2D blocks (Kronecker sum)
-    are 2*delta0/h^2 times the identity, so s = h^2/delta0 in 1D and
-    h^2/(2*delta0) in 2D.
+    are 2*delta0/h^2 times the identity, so s = h^2/(dim*delta0).
     """
     if config.penalty != params.penalty:
         raise ConfigError(
             f"config penalty {config.penalty} != params penalty {params.penalty}"
         )
-    h2 = config.mesh_size ** 2
-    return h2 / params.penalty if config.dim == 1 else h2 / (2.0 * params.penalty)
+    return config.mesh_size ** 2 / (config.dim * params.penalty)
 
 
 def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
@@ -100,17 +98,6 @@ def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     for K in range(J // 2):
         P[4 * K : 4 * K + 4, 2 * K : 2 * K + 2] = block
     return np.kron(P, P) if config.dim == 2 else P
-
-
-def coarse_inverse(A0: np.ndarray, periodic: bool) -> np.ndarray:
-    """Dense inverse of A0; pseudo-inverse on the constant-free complement
-    for the periodic case."""
-    if periodic:
-        return np.linalg.pinv(A0, rcond=1e-10, hermitian=True)
-    try:
-        return np.linalg.inv(A0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,13 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     P = prolongation_matrix(config, params.discontinuity)
     R = P.T / 2**config.dim
     A0 = R @ A @ P
-    A0inv = coarse_inverse(A0, config.bc is BoundaryCondition.PERIODIC)
+    if config.bc is BoundaryCondition.PERIODIC:
+        A0inv = np.linalg.pinv(A0, rcond=1e-10, hermitian=True)
+    else:
+        try:
+            A0inv = np.linalg.inv(A0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     return TwoLevelOperators(config, params, A, s, P, R, A0, A0inv)
 
 
@@ -168,10 +161,3 @@ def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     coarse = np.eye(n) - ops.P @ ops.A0inv @ ops.R @ ops.A
     return coarse @ (np.eye(n) - ops.params.alpha * ops.smoother_scale * ops.A)
 
-
-def deflate_constant(M: np.ndarray) -> np.ndarray:
-    """Compress M to the complement of the constant vector, Pi M Pi."""
-    n = M.shape[0]
-    w = np.full(n, 1.0 / np.sqrt(n))
-    Pi = np.eye(n) - np.outer(w, w)
-    return Pi @ M @ Pi

@@ -2,7 +2,9 @@
 
 The Fourier bases built here block-diagonalize the dense periodic operators
 independently of the symbol formulas, so comparing projected blocks against
-the symbol module is a genuine two-route check.
+the symbol module is a genuine two-route check.  deflate_constant gives the
+dense periodic spectrum with the constant mode deflated, the oracle of the
+symbol-based periodic spectra.
 """
 
 import numpy as np
@@ -49,3 +51,11 @@ def invariance_defect(op, basis):
     """How far the operator maps the span of basis outside itself."""
     image = op @ basis
     return np.linalg.norm(image - basis @ (basis.conj().T @ image))
+
+
+def deflate_constant(M):
+    """Compress M to the complement of the constant vector, Pi M Pi."""
+    n = M.shape[0]
+    w = np.full(n, 1.0 / np.sqrt(n))
+    Pi = np.eye(n) - np.outer(w, w)
+    return Pi @ M @ Pi

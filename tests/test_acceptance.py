@@ -15,7 +15,6 @@ from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
     MethodParams,
     build_two_level,
-    deflate_constant,
     error_matrix,
     preconditioner_matrix,
 )

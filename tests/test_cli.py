@@ -166,6 +166,12 @@ def test_dense_cap_respected(tmp_path, monkeypatch):
     assert run(tmp_path, "spectrum2d", "--cells", "4", "--max-evals", "3") == 1
 
 
+def test_gmres_sweep_beyond_dense_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DGML_DENSE_CAP", "16")
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "8,16") == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_preset_resolution(clustering_triple):
     classical = cli.preset_params("classical")
     assert classical.as_tuple() == (8.0 / 9.0, 2.0, 0.5)

@@ -132,6 +132,10 @@ def test_dense_cap(monkeypatch):
     monkeypatch.setenv("DGML_DENSE_CAP", "16")
     with pytest.raises(SizeCapError):
         assemble_2d(DiscretizationConfig(4, 2.0, DIR, 2))
+    assert assemble_1d(DiscretizationConfig(8, 2.0, PER)).shape == (16, 16)
+    for bc in (DIR, PER):
+        with pytest.raises(SizeCapError):
+            assemble_1d(DiscretizationConfig(10, 2.0, bc))
 
 
 def test_source_vector_is_ones():

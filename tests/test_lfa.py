@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coarse_basis, fine_pair_basis, invariance_defect, projected_block
+from helpers import coarse_basis, deflate_constant, fine_pair_basis, invariance_defect, projected_block
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
     MethodParams,
     build_two_level,
-    deflate_constant,
     error_matrix,
     smoother_scale,
 )
@@ -81,6 +80,22 @@ def test_symbols_match_projected_dense_blocks(delta0, c, alpha):
         np.testing.assert_allclose(
             projected_block(E, V, V), lfa.symbol_error(k, J, params), atol=1e-11,
         )
+
+
+@pytest.mark.parametrize("J", [2, 4])
+def test_2d_symbols_match_projected_dense_blocks(J):
+    # the 2D dofs are ordered x-major (A = A1 (x) I + I (x) A1), so the
+    # tensor products of the 1D pair bases block-diagonalize the 2D operators
+    params = MethodParams(0.81, 1.7, 0.37)
+    ops = build_two_level(DiscretizationConfig(J, params.penalty, PER, 2), params)
+    E = error_matrix(ops)
+    for kx in range(J // 2):
+        for ky in range(J // 2):
+            V = np.kron(fine_pair_basis(J, kx), fine_pair_basis(J, ky))
+            assert invariance_defect(E, V) < 1e-10
+            np.testing.assert_allclose(
+                projected_block(E, V, V), lfa.symbol_error((kx, ky), J, params, 2), atol=1e-11,
+            )
 
 
 def test_smoother_symbol_values():
@@ -177,6 +192,10 @@ def test_frequency_out_of_range():
         lfa.symbol_restriction(-1, 8, 0.5)
     with pytest.raises(ValueError):
         lfa.symbol_error(np.arange(5), 8, MethodParams(0.7, 2.2, 0.3))
+    with pytest.raises(ValueError):
+        lfa.symbol_error((1, 4), 8, MethodParams(0.7, 2.2, 0.3), 2)
+    with pytest.raises(ValueError):  # 2D needs a trailing (kx, ky) axis
+        lfa.symbol_error(np.arange(3), 8, MethodParams(0.7, 2.2, 0.3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +285,29 @@ def test_dense_error_spectrum_equals_symbol_union(J, alpha, penalty, c):
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
-@given(J=st.sampled_from([4, 8, 16, 32]), alpha=ALPHA, penalty=PENALTY, c=DISCONTINUITY)
-def test_symbol_spectrum_is_k_major_union_of_blocks(J, alpha, penalty, c):
-    # values 4k..4k+3 are the spectrum of the single-k error symbol, which
-    # equals slice k of the batched symbol; k = 0 comes first and keeps the
-    # constant mode's eigenvalue 1
+@given(
+    dim=st.sampled_from([1, 2]),
+    J=st.sampled_from([4, 8, 16, 32]),
+    alpha=ALPHA,
+    penalty=PENALTY,
+    c=DISCONTINUITY,
+)
+def test_symbol_spectrum_is_k_major_union_of_blocks(dim, J, alpha, penalty, c):
+    # with b = 4^dim, values b*m..b*m+b-1 are the spectrum of the single-k
+    # error symbol at the m-th frequency, which equals slice m of the batched
+    # symbol; frequencies run k-major (kx-major in 2D), k = 0 comes first
+    # and keeps the constant mode's eigenvalue 1
     params = MethodParams(alpha, penalty, c)
-    eigs = lfa.error_spectrum_symbols(J, params)
-    batch = lfa.symbol_error(np.arange(J // 2), J, params)
-    assert eigs.shape == (2 * J,) and batch.shape == (J // 2, 4, 4)
-    for k in range(J // 2):
-        single = lfa.symbol_error(k, J, params)
-        np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-13 * np.abs(single).max())
-        assert lfa.multiset_deviation(eigs[4 * k : 4 * k + 4], np.linalg.eigvals(single)) < 1e-12
-    assert np.min(np.abs(eigs[:4] - 1.0)) < 1e-12
+    b = 4**dim
+    freqs = list(range(J // 2)) if dim == 1 else [(kx, ky) for kx in range(J // 2) for ky in range(J // 2)]
+    eigs = lfa.error_spectrum_symbols(J, params, dim)
+    batch = lfa.symbol_error(np.array(freqs), J, params, dim)
+    assert eigs.shape == ((2 * J) ** dim,) and batch.shape == (len(freqs), b, b)
+    for m, k in enumerate(freqs):
+        single = lfa.symbol_error(k, J, params, dim)
+        np.testing.assert_allclose(batch[m], single, rtol=0, atol=1e-13 * np.abs(single).max())
+        assert lfa.multiset_deviation(eigs[b * m : b * m + b], np.linalg.eigvals(single)) < 1e-12
+    assert np.min(np.abs(eigs[:b] - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("edge", ["c->0", "c->1", "delta0->1+", "alpha->0"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,12 @@ from dgml.discretization import (
 from dgml.twolevel import (
     MethodParams,
     build_two_level,
-    deflate_constant,
     error_matrix,
     preconditioner_matrix,
 )
 from dgml import lfa, spectrum
 from dgml.spectrum import Cluster
+from helpers import deflate_constant
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -165,7 +167,7 @@ def test_dirichlet_clustering_spectrum(clustering_triple):
     # boundary-induced eigenvalues whose location depends on the boundary
     # closure (they stay inside the spectral radius for this one)
     ops = build_two_level(DiscretizationConfig(32, clustering_triple.penalty, DIR), clustering_triple)
-    report = spectrum.analyze(error_matrix(ops), tol=1e-6)
+    report = spectrum.analyze(spectrum.eigenvalues_dense(error_matrix(ops)), tol=1e-6)
     assert sum(cl.count for cl in report.clusters) == 64
     big = {round(cl.center.real, 5): cl.count for cl in report.clusters if cl.count >= 14}
     assert big[-0.19732] >= 14 and big[0.19732] >= 14 and big[0.0] == 32
@@ -182,7 +184,7 @@ def test_refinement_preserves_cluster_centers(clustering_triple):
             DiscretizationConfig(J, clustering_triple.penalty, PER), clustering_triple
         )
         E = deflate_constant(error_matrix(ops))
-        report = spectrum.analyze(E, tol=1e-6)
+        report = spectrum.analyze(spectrum.eigenvalues_dense(E), tol=1e-6)
         main = sorted(
             (cl for cl in report.clusters if cl.count >= J // 4),
             key=lambda cl: cl.center.real,
@@ -206,6 +208,8 @@ def test_analyze_accepts_eigenvalue_vector():
     report = spectrum.analyze(np.array([1.0, 1.0, 2.0]), tol=1e-6)
     assert report.spectral_radius == 2.0
     assert [cl.count for cl in report.clusters] == [2, 1]
+    with pytest.raises(ValueError):
+        spectrum.analyze(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +251,19 @@ def test_structured_path_matches_dense_random_triples(size, alpha, penalty, c):
     _check_structured(DiscretizationConfig(J, penalty, DIR, dim), MethodParams(alpha, penalty, c))
 
 
-def test_structured_path_assembles_no_full_operator(monkeypatch, clustering_triple):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Dirichlet path assembled the full two-level operators")
-
-    monkeypatch.setattr(spectrum, "build_two_level", forbidden)
-    cfg = DiscretizationConfig(8, clustering_triple.penalty, DIR, 2)
-    assert spectrum.two_level_error_eigenvalues(cfg, clustering_triple).size == 256
+def test_error_spectrum_assembles_no_full_operator(clustering_triple):
+    # at 2D J = 16 one n x n float64 array takes 8 MiB; the structured
+    # Dirichlet path and the periodic symbols stay well below it
+    for bc in (DIR, PER):
+        cfg = DiscretizationConfig(16, clustering_triple.penalty, bc, 2)
+        tracemalloc.start()
+        try:
+            eigs = spectrum.two_level_error_eigenvalues(cfg, clustering_triple)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eigs.size == cfg.ndof
+        assert peak < cfg.ndof**2 * 8, f"{bc.value}: peak {peak} bytes"
 
 
 @pytest.mark.parametrize("bc", [DIR, PER])
@@ -276,10 +286,50 @@ def test_fast_path_matches_generic_eigensolve(dim, J):
     assert lfa.multiset_deviation(fast, dense) < 1e-8
 
 
-def test_fast_path_periodic_falls_back():
-    params = MethodParams(0.7, 1.8, 0.4)
-    cfg = DiscretizationConfig(8, 1.8, PER, 1)
-    eigs = spectrum.two_level_error_eigenvalues(cfg, params)
-    ops = build_two_level(cfg, params)
-    dense = spectrum.eigenvalues_dense(deflate_constant(error_matrix(ops)))
-    assert lfa.multiset_deviation(eigs, dense) < 1e-10
+# ---------------------------------------------------------------------------
+# periodic path (Fourier symbols)
+
+
+def _deflated_dense_error_eigenvalues(cfg, params):
+    return spectrum.eigenvalues_dense(deflate_constant(error_matrix(build_two_level(cfg, params))))
+
+
+PERIODIC_SIZES = [(1, J) for J in (2, 4, 8, 16, 32, 64)] + [(2, J) for J in (2, 4, 8, 16)]
+
+
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.floats(0.0, 1.0),
+    penalty=st.floats(1.01, 10.0),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_periodic_path_matches_deflated_dense_oracle(alpha, penalty, c):
+    # delta0 stays 1e-2 above 1, where the dense oracle itself is accurate
+    params = MethodParams(alpha, penalty, c)
+    for dim, J in PERIODIC_SIZES:
+        cfg = DiscretizationConfig(J, penalty, PER, dim)
+        eigs = spectrum.two_level_error_eigenvalues(cfg, params)
+        assert eigs.dtype == complex and eigs.size == cfg.ndof
+        dev = lfa.multiset_deviation(eigs, _deflated_dense_error_eigenvalues(cfg, params))
+        assert dev < 1e-10, f"dim={dim} J={J}: deviation {dev:.2e}"
+
+
+@pytest.mark.parametrize("dim,J", [(1, 4), (1, 32), (2, 4), (2, 8)])
+def test_periodic_pure_coarse_correction_spectrum(dim, J):
+    # alpha = 0 leaves the coarse correction I - P A0^+ R A, a projector
+    # with J^dim - 1 zero eigenvalues (the coarse space less the constant);
+    # with the constant mode deflated the spectrum is J^dim zeros and ones
+    # otherwise, also at delta0 -> 1+ and c -> 0+, where the dense periodic
+    # eigensolve loses zeros
+    params = MethodParams(0.0, np.nextafter(1.0, 2.0), 5e-324)
+    eigs = spectrum.two_level_error_eigenvalues(DiscretizationConfig(J, params.penalty, PER, dim), params)
+    zeros = np.abs(eigs) < 1e-12
+    assert zeros.sum() == J**dim
+    assert np.all(np.abs(eigs[~zeros] - 1.0) < 1e-12)
+
+
+@pytest.mark.parametrize("J", [4, 8, 16, 32])
+def test_periodic_2d_radius_is_mesh_independent(J, clustering_triple):
+    cfg = DiscretizationConfig(J, clustering_triple.penalty, PER, 2)
+    radius = np.abs(spectrum.two_level_error_eigenvalues(cfg, clustering_triple)).max()
+    assert abs(radius - 0.598660) < 1e-6

@@ -12,13 +12,13 @@ from dgml.twolevel import (
     MethodParams,
     apply_preconditioner,
     build_two_level,
-    deflate_constant,
     error_matrix,
     preconditioner_matrix,
     prolongation_matrix,
     smoother_scale,
 )
 from dgml import lfa
+from helpers import deflate_constant
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
