@@ -2,13 +2,14 @@
 
 Subcommands reproduce the library's headline experiments as deterministic
 CSV tables (%.12e floats, fixed row order) with optional self-contained SVG
-plots and a key=value meta sidecar per run:
+plots and a key=value meta sidecar per run.  Each subcommand accepts only
+the flags it reads, unabbreviated:
 
-    spectrum1d   eigenvalues of the 1D error operator per parameter preset
-    spectrum2d   eigenvalues of the 2D error operator per parameter preset
-    gmres-sweep  preconditioned GMRES iteration counts over mesh sizes
-    optimize     the clustering triple with quartic and system residuals
-    lfa-verify   dense-vs-symbol spectrum agreement gate (exit 2 on failure)
+    spectrum1d   --cells --bc --preset --alpha --delta0 --c --format --cluster-tol --out
+    spectrum2d   the spectrum1d flags and --max-evals
+    gmres-sweep  --cells-list --bc --preset --alpha --delta0 --c --tol --format --out
+    optimize     --out
+    lfa-verify   --cells-list --inject-error --out
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
 failure.  DGML_DENSE_CAP overrides the dense-size cap.
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NUMERICAL = 3
+VERIFY_TOL = 1e-8  # lfa-verify's dense-vs-symbol gate
 
 PRESETS_1D = ("classical", "alpha-delta", "clustering")
 PRESETS_2D = ("classical-1d", "alpha-delta-1d", "clustering-1d", "numeric-2d")
@@ -103,22 +105,15 @@ def write_meta(args, config: DiscretizationConfig | None, pairs, extra: dict | N
             fh.write(f"cells={config.cells_per_dim}\n")
             fh.write(f"bc={config.bc.value}\n")
             fh.write(f"dim={config.dim}\n")
-        fh.write(f"format={args.format}\n")
-        fh.write(f"tol={args.tol!r}\n")
-        fh.write(f"cluster_tol={args.cluster_tol!r}\n")
+        for key in ("format", "tol", "cluster_tol"):  # only the command's own flags
+            if key in vars(args):
+                fh.write(f"{key}={getattr(args, key)}\n")
         fh.write(f"presets={','.join(name for name, _ in pairs)}\n")
-        for key, value in _params_meta(pairs).items():
-            fh.write(f"{key}={value}\n")
+        for name, params in pairs:
+            a, d, c = params.as_tuple()
+            fh.write(f"params_{name}=alpha={fmt(a)},delta0={fmt(d)},c={fmt(c)}\n")
         for key, value in (extra or {}).items():
             fh.write(f"{key}={value}\n")
-
-
-def _params_meta(pairs) -> dict:
-    out = {}
-    for name, params in pairs:
-        a, d, c = params.as_tuple()
-        out[f"params_{name}"] = f"alpha={fmt(a)},delta0={fmt(d)},c={fmt(c)}"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +222,11 @@ def _selected_params(args, allowed, config, default=None) -> list[tuple[str, Met
     return [(name, resolve(name)) for name in names]
 
 
-def _spectrum_rows(pairs, config) -> list[list]:
-    rows = []
-    for name, params in pairs:
-        cfg = DiscretizationConfig(config.cells_per_dim, params.penalty, config.bc, config.dim)
-        eigs = spectrum.two_level_error_eigenvalues(cfg, params)
-        order = np.lexsort((eigs.imag, eigs.real))
-        rows.extend([[eigs[i].real, eigs[i].imag, name] for i in order])
-    return rows
+def _sorted_spectrum(config, params) -> np.ndarray:
+    """Error-operator eigenvalues on config's mesh, in (real, imag) order."""
+    cfg = DiscretizationConfig(config.cells_per_dim, params.penalty, config.bc, config.dim)
+    eigs = spectrum.two_level_error_eigenvalues(cfg, params)
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
 def cmd_spectrum(args) -> int:
@@ -242,17 +234,17 @@ def cmd_spectrum(args) -> int:
     dim = 1 if args.command == "spectrum1d" else 2
     config = DiscretizationConfig(args.cells, 2.0, BoundaryCondition(args.bc), dim)
     pairs = _selected_params(args, PRESETS_1D if dim == 1 else PRESETS_2D, config)
-    rows = _spectrum_rows(pairs, config)
+    spectra = [_sorted_spectrum(config, params) for _, params in pairs]
+    rows = [[z.real, z.imag, name] for (name, _), eigs in zip(pairs, spectra) for z in eigs]
     if args.format in ("csv", "both"):
         write_csv(f"{args.out}_spectrum.csv", ["re", "im", "preset"], rows)
     if args.format in ("svg", "both"):
         svg_plot(f"{args.out}_spectrum.svg", f"{dim}D error-operator spectrum, J={args.cells}",
                  "Re", "Im", _series(pairs, rows, 2, 0, 1))
     write_meta(args, config, pairs, {"max_evals": args.max_evals} if dim == 2 else None)
-    for name, _ in pairs:
-        sub = np.array([complex(r[0], r[1]) for r in rows if r[2] == name])
-        report = spectrum.analyze(sub, tol=args.cluster_tol)
-        print(f"{name}: {len(sub)} eigenvalues, radius {report.spectral_radius:.6f}, "
+    for (name, _), eigs in zip(pairs, spectra):
+        report = spectrum.analyze(eigs, tol=args.cluster_tol)
+        print(f"{name}: {len(eigs)} eigenvalues, radius {report.spectral_radius:.6f}, "
               f"{len(report.clusters)} clusters at tol {args.cluster_tol:g}")
     return EXIT_OK
 
@@ -340,8 +332,8 @@ def cmd_lfa_verify(args) -> int:
                {"cells_list": args.cells_list, "inject_error": args.inject_error})
     for J, name, dev in rows:
         print(f"J={J:>3s} {name:12s} deviation={dev}")
-    if worst > 1e-8:
-        print(f"VERIFICATION FAILED: worst deviation {worst:.3e} > 1e-8", file=sys.stderr)
+    if worst > VERIFY_TOL:
+        print(f"VERIFICATION FAILED: worst deviation {worst:.3e} > {VERIFY_TOL:g}", file=sys.stderr)
         return EXIT_VERIFY
     print(f"verification passed: worst deviation {worst:.3e}")
     return EXIT_OK
@@ -350,49 +342,40 @@ def cmd_lfa_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, cells_default=32):
-    sub.add_argument("--cells", type=int, default=cells_default, help="cells per dimension J")
-    sub.add_argument("--bc", choices=["periodic", "dirichlet"], default="dirichlet")
-    sub.add_argument("--preset", default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--delta0", type=float, default=None)
-    sub.add_argument("--c", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--out", default="dgml_run", help="output path prefix")
-    sub.add_argument("--format", choices=["csv", "svg", "both"], default="csv")
-    sub.add_argument("--cluster-tol", type=float, default=1e-6, dest="cluster_tol")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="dgml", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s1 = subs.add_parser("spectrum1d", help="1D error-operator spectra per preset")
-    _add_common(s1)
-    s1.set_defaults(func=cmd_spectrum)
-
-    s2 = subs.add_parser("spectrum2d", help="2D error-operator spectra per preset")
-    _add_common(s2)
-    s2.add_argument("--max-evals", type=int, default=50, dest="max_evals",
-                    help="objective-evaluation cap for the numeric-2d preset")
-    s2.set_defaults(func=cmd_spectrum)
-
-    s3 = subs.add_parser("gmres-sweep", help="GMRES iteration counts over mesh sizes")
-    _add_common(s3)
-    s3.add_argument("--cells-list", default="16,32,64,128,256", dest="cells_list")
-    s3.set_defaults(func=cmd_gmres_sweep)
-
-    s4 = subs.add_parser("optimize", help="clustering triple and residuals")
-    _add_common(s4)
-    s4.set_defaults(func=cmd_optimize)
-
-    s5 = subs.add_parser("lfa-verify", help="dense-vs-symbol verification gate")
-    _add_common(s5)
-    s5.add_argument("--cells-list", default="4,8,16,32", dest="cells_list")
-    s5.add_argument("--inject-error", action="store_true", dest="inject_error",
-                    help="fault-injection test mode: give the symbol side c + 1e-3")
-    s5.set_defaults(func=cmd_lfa_verify)
+    sub = {}
+    for name, func, text in (
+        ("spectrum1d", cmd_spectrum, "eigenvalues of the 1D error operator per parameter preset"),
+        ("spectrum2d", cmd_spectrum, "eigenvalues of the 2D error operator per parameter preset"),
+        ("gmres-sweep", cmd_gmres_sweep, "preconditioned GMRES iteration counts over mesh sizes"),
+        ("optimize", cmd_optimize, "the clustering triple with quartic and system residuals"),
+        ("lfa-verify", cmd_lfa_verify, "dense-vs-symbol spectrum agreement gate (exit 2 on failure)"),
+    ):
+        # allow_abbrev=False: a prefix must not turn into a longer flag
+        sub[name] = subs.add_parser(name, help=text, allow_abbrev=False)
+        sub[name].add_argument("--out", default="dgml_run", help="output path prefix")
+        sub[name].set_defaults(func=func)
+    spectra = (sub["spectrum1d"], sub["spectrum2d"])
+    for s in spectra:
+        s.add_argument("--cells", type=int, default=32, help="cells per dimension J")
+        s.add_argument("--cluster-tol", type=float, default=1e-6, dest="cluster_tol")
+    for s in (*spectra, sub["gmres-sweep"]):
+        s.add_argument("--bc", choices=["periodic", "dirichlet"], default="dirichlet")
+        s.add_argument("--preset", default=None)
+        s.add_argument("--alpha", type=float, default=None)
+        s.add_argument("--delta0", type=float, default=None)
+        s.add_argument("--c", type=float, default=None)
+        s.add_argument("--format", choices=["csv", "svg", "both"], default="csv")
+    sub["spectrum2d"].add_argument("--max-evals", type=int, default=50, dest="max_evals",
+                                   help="objective-evaluation cap for the numeric-2d preset")
+    sub["gmres-sweep"].add_argument("--tol", type=float, default=1e-8)
+    sub["gmres-sweep"].add_argument("--cells-list", default="16,32,64,128,256", dest="cells_list")
+    sub["lfa-verify"].add_argument("--cells-list", default="4,8,16,32", dest="cells_list")
+    sub["lfa-verify"].add_argument("--inject-error", action="store_true", dest="inject_error",
+                                   help="fault-injection test mode: give the symbol side c + 1e-3")
     return parser
 
 

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .twolevel import MethodParams
+from .discretization import BoundaryCondition, DiscretizationConfig
+from .twolevel import MethodParams, smoother_scale
 
 
 class DegenerateParameterError(ValueError):
@@ -131,7 +132,7 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
             f"coarse symbol singular at k={k[~kernel][singular]} (off the kernel frequency)"
         )
     A0inv[~kernel] = np.linalg.inv(rest)
-    s = (1.0 / J) ** 2 / (dim * d0)
+    s = smoother_scale(DiscretizationConfig(J, d0, BoundaryCondition.PERIODIC, dim), params)
     eye = np.eye(A.shape[-1])
     # updated in place: at J in the thousands the (J/2, 4, 4) stacks are the
     # largest temporaries
@@ -211,13 +212,11 @@ def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np
     return thetas, eigenvalues_closed_form_at(np.cos(thetas), params)
 
 
-def symbol_radius(params: MethodParams, npoints: int = 256) -> float:
-    """max |lambda| over a theta grid: the two-level convergence factor.
-
-    An even npoints keeps both phase extremes cos = +/-1 on the grid, where
-    non-clustered spectra attain their maximum.
-    """
-    _, pairs = eigenvalues_over_theta(params, npoints)
+def symbol_radius(params: MethodParams) -> float:
+    """max |lambda| over a 256-point theta grid: the two-level convergence
+    factor.  The even count keeps both phase extremes cos = +/-1 on the
+    grid, where non-clustered spectra attain their maximum."""
+    _, pairs = eigenvalues_over_theta(params, 256)
     return float(np.max(np.abs(pairs)))
 
 

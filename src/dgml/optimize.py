@@ -271,10 +271,11 @@ class NelderMeadResult:
     best_history: list[float]  # best objective after each accepted step
 
 
-def nelder_mead(f, x0, steps, xtol=1e-9, ftol=1e-12, max_evals=2000) -> NelderMeadResult:
+def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
     """Standard Nelder-Mead simplex minimization (reflect/expand/contract/
-    shrink); best_history records the best value after every simplex
-    update, so accepted steps are non-increasing by construction."""
+    shrink) until the simplex spans < 1e-12 in value and < 1e-9 in x;
+    best_history records the best value after every simplex update, so
+    accepted steps are non-increasing by construction."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     sim = [x0]
@@ -289,7 +290,7 @@ def nelder_mead(f, x0, steps, xtol=1e-9, ftol=1e-12, max_evals=2000) -> NelderMe
     while nfev < max_evals:
         order = np.argsort(fvals)
         sim, fvals = sim[order], fvals[order]
-        if fvals[-1] - fvals[0] < ftol and np.max(np.abs(sim[1:] - sim[0])) < xtol:
+        if fvals[-1] - fvals[0] < 1e-12 and np.max(np.abs(sim[1:] - sim[0])) < 1e-9:
             break
         centroid = sim[:-1].mean(axis=0)
         xr = centroid + (centroid - sim[-1])
@@ -321,28 +322,26 @@ def nelder_mead(f, x0, steps, xtol=1e-9, ftol=1e-12, max_evals=2000) -> NelderMe
     return NelderMeadResult(sim[order][0], float(fvals[order][0]), nfev, history)
 
 
-def optimize_1d_alpha(penalty: float, c: float, npoints: int = 256) -> tuple[float, float]:
+def optimize_1d_alpha(penalty: float, c: float) -> tuple[float, float]:
     """Best relaxation for fixed (penalty, c): minimizes the two-level
     convergence factor over a dense phase grid."""
 
     def objective(alpha):
-        return lfa.symbol_radius(MethodParams(alpha, penalty, c), npoints)
+        return lfa.symbol_radius(MethodParams(alpha, penalty, c))
 
     return golden_section(objective, 1e-4, 1.0, tol=1e-9)
 
 
-def optimize_1d_alpha_delta(
-    c: float, start=(0.9, 1.8), npoints: int = 256, max_evals: int = 400
-) -> tuple[float, float, float]:
+def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
     """Best (relaxation, penalty) for fixed c; returns (alpha, delta0, rho)."""
 
     def objective(v):
         alpha, d0 = v
         if not (0.0 < alpha <= 1.0 and d0 > 1.0):
             return np.inf
-        return lfa.symbol_radius(MethodParams(alpha, d0, c), npoints)
+        return lfa.symbol_radius(MethodParams(alpha, d0, c))
 
-    result = nelder_mead(objective, start, steps=(0.05, 0.2), max_evals=max_evals)
+    result = nelder_mead(objective, (0.9, 1.8), steps=(0.05, 0.2), max_evals=400)
     alpha, d0 = result.x
     return alpha, d0, result.fval
 

@@ -1,4 +1,7 @@
+import argparse
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +162,62 @@ def test_usage_errors(tmp_path):
     assert cli.main(["no-such-command"]) == 1
     assert run(tmp_path, "spectrum1d", "--cells", "7") == 1
     assert run(tmp_path, "spectrum1d", "--delta0", "0.5") == 1
+
+
+# a value each flag accepts, and the (command, flag) pairs whose command
+# does not read that flag
+FLAG_VALUES = {"--cells": "8", "--bc": "periodic", "--preset": "classical", "--alpha": "0.5",
+               "--delta0": "2.0", "--c": "0.5", "--tol": "1e-30", "--format": "svg",
+               "--cluster-tol": "1e-3"}
+REMOVED_FLAGS = [
+    ("spectrum1d", "--tol"),
+    ("spectrum2d", "--tol"),
+    ("gmres-sweep", "--cells"),
+    ("gmres-sweep", "--cluster-tol"),
+    *[(command, flag) for command in ("optimize", "lfa-verify") for flag in FLAG_VALUES],
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, capsys, command, flag):
+    assert run(tmp_path, command, flag, FLAG_VALUES[flag]) == 1
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # rejected before anything ran
+
+
+@pytest.mark.parametrize("argv", [
+    ("gmres-sweep", "--cells", "8"),  # not --cells-list
+    ("lfa-verify", "--cells", "8"),
+    ("spectrum2d", "--max", "5"),  # not --max-evals
+    ("spectrum1d", "--cluster", "1e-3"),
+])
+def test_flags_are_not_abbreviated(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (("spectrum1d", "--cells", "8"), {"format", "cluster_tol"}),
+    (("spectrum2d", "--cells", "4", "--max-evals", "3"), {"format", "cluster_tol"}),
+    (("gmres-sweep", "--cells-list", "16"), {"format", "tol"}),
+    (("optimize",), set()),
+    (("lfa-verify", "--cells-list", "4"), set()),
+])
+def test_meta_records_only_the_commands_flags(tmp_path, argv, keys):
+    assert run(tmp_path, *argv) == 0
+    written = {line.split("=", 1)[0] for line in read(tmp_path, "_meta.txt").splitlines()}
+    assert written & {"format", "tol", "cluster_tol"} == keys
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = dict(re.findall(r"^\| `([\w-]+)` \| `(--[^`]*)` \|$", readme, flags=re.M))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert {name: set(text.split()) for name, text in table.items()} == flags
 
 
 def test_dense_cap_respected(tmp_path, monkeypatch):
