@@ -48,7 +48,6 @@ from .optimize import (
     optimize_1d_alpha,
     optimize_1d_alpha_delta,
     optimize_2d,
-    real_roots_in_interval,
     solve_clustering_system,
 )
 from .solver import SolveReport, gmres, stationary_solve

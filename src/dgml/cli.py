@@ -62,6 +62,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(kind):
+    """argparse type: a finite value of kind (float or int) above 0."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+            if 0 < value < float("inf"):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a positive finite {kind.__name__}, got {text!r}")
+
+    return parse
+
+
 @lru_cache(maxsize=None)
 def preset_params(name: str) -> MethodParams:
     """Resolve a named parameter preset."""
@@ -80,18 +95,10 @@ def fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        v if isinstance(v, str) else fmt(v) for v in row
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
 
 
 def write_meta(args, config: DiscretizationConfig | None, pairs, extra: dict | None = None) -> None:
@@ -285,9 +292,9 @@ def cmd_optimize(args) -> int:
     sol = optimize.clustering_parameters()
     alpha, d0, c = sol.params.as_tuple()
     quartics = [
-        ("quartic_residual_c", optimize.polyval(optimize.DISCONTINUITY_QUARTIC, c)),
-        ("quartic_residual_delta0", optimize.polyval(optimize.PENALTY_QUARTIC, d0)),
-        ("quartic_residual_alpha", optimize.polyval(optimize.RELAXATION_QUARTIC, alpha)),
+        ("quartic_residual_c", np.polyval(optimize.DISCONTINUITY_QUARTIC, c)),
+        ("quartic_residual_delta0", np.polyval(optimize.PENALTY_QUARTIC, d0)),
+        ("quartic_residual_alpha", np.polyval(optimize.RELAXATION_QUARTIC, alpha)),
     ]
     rows = [
         ["alpha", alpha],
@@ -361,7 +368,7 @@ def build_parser() -> _Parser:
     spectra = (sub["spectrum1d"], sub["spectrum2d"])
     for s in spectra:
         s.add_argument("--cells", type=int, default=32, help="cells per dimension J")
-        s.add_argument("--cluster-tol", type=float, default=1e-6, dest="cluster_tol")
+        s.add_argument("--cluster-tol", type=_positive(float), default=1e-6, dest="cluster_tol")
     for s in (*spectra, sub["gmres-sweep"]):
         s.add_argument("--bc", choices=["periodic", "dirichlet"], default="dirichlet")
         s.add_argument("--preset", default=None)
@@ -369,9 +376,10 @@ def build_parser() -> _Parser:
         s.add_argument("--delta0", type=float, default=None)
         s.add_argument("--c", type=float, default=None)
         s.add_argument("--format", choices=["csv", "svg", "both"], default="csv")
-    sub["spectrum2d"].add_argument("--max-evals", type=int, default=50, dest="max_evals",
-                                   help="objective-evaluation cap for the numeric-2d preset")
-    sub["gmres-sweep"].add_argument("--tol", type=float, default=1e-8)
+    sub["spectrum2d"].add_argument("--max-evals", type=_positive(int), default=50, dest="max_evals",
+                                   help="objective-evaluation cap for the numeric-2d preset; "
+                                   "its 4-vertex initial simplex is always evaluated")
+    sub["gmres-sweep"].add_argument("--tol", type=_positive(float), default=1e-8)
     sub["gmres-sweep"].add_argument("--cells-list", default="16,32,64,128,256", dest="cells_list")
     sub["lfa-verify"].add_argument("--cells-list", default="4,8,16,32", dest="cells_list")
     sub["lfa-verify"].add_argument("--inject-error", action="store_true", dest="inject_error",
@@ -394,8 +402,8 @@ def main(argv=None) -> int:
         print(f"dgml: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"dgml: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"dgml: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

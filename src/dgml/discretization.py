@@ -140,8 +140,11 @@ def assemble_2d(config: DiscretizationConfig) -> np.ndarray:
     n1 = 2 * config.cells_per_dim
     check_dense_cap(n1 * n1)
     A1 = assemble_1d(config.with_dim(1))
-    eye = np.eye(n1)
-    return np.kron(A1, eye) + np.kron(eye, A1)
+    A = np.zeros((n1, n1, n1, n1))  # A[i, j, k, l] couples dof (i, j) to (k, l)
+    i = np.arange(n1)
+    A[:, i, :, i] = A1  # A1 (x) I
+    A[i, :, i, :] += A1  # I (x) A1
+    return A.reshape(n1 * n1, n1 * n1)
 
 
 def assemble(config: DiscretizationConfig) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The spectrum-clustering triple (alpha, delta0, c) solves a nonlinear
 3-equation system that removes every frequency dependence from the error
-symbol's eigenvalues; its components are roots of three quartics, isolated
-and polished here without external solvers.  Baseline choices (relaxation
+symbol's eigenvalues; its components are roots of three quartics, each
+bisected on its bracket.  Baseline choices (relaxation
 only, or relaxation plus penalty, at continuous interpolation c = 1/2) are
 found by direct minimization of the two-level convergence factor, and the
 2D optimum by Nelder-Mead on the spectral radius of the 2D error operator
@@ -23,7 +23,7 @@ from .twolevel import MethodParams
 # quartics whose bracketed real roots give the clustering parameters,
 # highest-degree coefficient first
 DISCONTINUITY_QUARTIC = (4.0, -8.0, 8.0, -8.0, 3.0)  # c in (0, 1)
-PENALTY_QUARTIC = (12.0, -32.0, 24.0, -4.0, -1.0)  # delta0 in (1, inf)
+PENALTY_QUARTIC = (12.0, -32.0, 24.0, -4.0, -1.0)  # delta0 in (1, 10)
 RELAXATION_QUARTIC = (183.0, -352.0, 214.0, -40.0, -1.0)  # alpha in (0, 1)
 
 
@@ -50,89 +50,23 @@ class ClusteringSolution:
     failed_evals: int = 0
 
 
-def polyval(coeffs, x: float) -> float:
-    """Horner evaluation, highest-degree coefficient first."""
-    acc = 0.0
-    for co in coeffs:
-        acc = acc * x + co
-    return acc
+def bracketed_root(coeffs, lo: float, hi: float) -> float:
+    """The root of a polynomial (highest-degree coefficient first) on a
+    bracket [lo, hi] over which it strictly changes sign.
 
-
-def _polyder(coeffs):
-    n = len(coeffs) - 1
-    return [co * (n - i) for i, co in enumerate(coeffs[:-1])]
-
-
-def _bisect_newton(coeffs, dcoeffs, lo, hi):
-    """Refine a sign-change bracket to machine precision."""
-    flo = polyval(coeffs, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = polyval(coeffs, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid > 0) == (flo > 0):
+    Bisects until lo and hi are adjacent floats and returns the endpoint
+    with the smaller |p|; raises ValueError without a strict sign change.
+    """
+    flo, fhi = np.polyval(coeffs, lo), np.polyval(coeffs, hi)
+    if not (lo < hi and np.sign(flo) * np.sign(fhi) < 0):
+        raise ValueError(f"no strict sign change on [{lo}, {hi}]")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fmid = np.polyval(coeffs, mid)
+        if (fmid < 0) == (flo < 0):
             lo, flo = mid, fmid
         else:
-            hi = mid
-        if hi - lo < 1e-6 * max(1.0, abs(mid)):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        fx = polyval(coeffs, x)
-        dfx = polyval(dcoeffs, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not lo - 1e-12 <= x_new <= hi + 1e-12:
-            x_new = 0.5 * (lo + hi)  # fall back into the bracket
-        if x_new == x:
-            break
-        x = x_new
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:
-    """All real roots of the polynomial in the open interval (lo, hi).
-
-    Isolation by recursive subdivision at the roots of the derivative,
-    sign-change bisection on each monotone piece, Newton polishing; each
-    returned root r satisfies |p(r)| < 1e-12 * max|coeff|.
-    """
-    if lo >= hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    coeffs = list(np.trim_zeros(np.asarray(coeffs, dtype=float), "f"))
-    if len(coeffs) <= 1:
-        return []
-    if len(coeffs) == 2:
-        r = -coeffs[1] / coeffs[0]
-        return [r] if lo < r < hi else []
-    dcoeffs = _polyder(coeffs)
-    crit = real_roots_in_interval(dcoeffs, lo, hi)
-    pts = [lo] + crit + [hi]
-    scale = max(abs(co) for co in coeffs)
-
-    def sgn(v):  # dead zone so a grazing zero is not a sign change
-        return 0 if abs(v) < 1e-13 * scale else (1 if v > 0 else -1)
-
-    roots = []
-    for x in pts[1:-1]:  # tangent (multiple) roots sit at critical points
-        if sgn(polyval(coeffs, x)) == 0:
-            roots.append(x)
-    for a, b in zip(pts[:-1], pts[1:]):
-        sa, sb = sgn(polyval(coeffs, a)), sgn(polyval(coeffs, b))
-        if sa != 0 and sb != 0 and sa != sb:
-            roots.append(_bisect_newton(coeffs, dcoeffs, a, b))
-    roots = sorted(r for r in roots if lo < r < hi)
-    deduped = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def clustering_residuals(alpha: float, d0: float, c: float) -> np.ndarray:
@@ -166,24 +100,11 @@ def predicted_radius(params: MethodParams) -> float:
 
 
 def clustering_parameters() -> ClusteringSolution:
-    """The clustering triple from the three quartic roots.
-
-    The relaxation quartic may have several roots in (0, 1); the one that
-    also zeroes the nonlinear system (together with the other two roots)
-    is selected.
-    """
-    c_roots = real_roots_in_interval(DISCONTINUITY_QUARTIC, 0.0, 1.0)
-    d_roots = real_roots_in_interval(PENALTY_QUARTIC, 1.0, 10.0)
-    a_roots = real_roots_in_interval(RELAXATION_QUARTIC, 0.0, 1.0)
-    if len(c_roots) != 1 or len(d_roots) != 1 or not a_roots:
-        raise RuntimeError(
-            f"unexpected quartic root pattern: {c_roots}, {d_roots}, {a_roots}"
-        )
-    c, d0 = c_roots[0], d_roots[0]
-    alpha = min(
-        a_roots,
-        key=lambda a: np.max(np.abs(clustering_residuals(a, d0, c))),
-    )
+    """The clustering triple from the three quartic roots, each bisected on
+    the bracket where its quartic changes sign once."""
+    c = bracketed_root(DISCONTINUITY_QUARTIC, 0.0, 1.0)
+    d0 = bracketed_root(PENALTY_QUARTIC, 1.0, 10.0)
+    alpha = bracketed_root(RELAXATION_QUARTIC, 0.0, 1.0)
     params = MethodParams(alpha, d0, c)
     res = clustering_system_residuals(params)
     return ClusteringSolution(params, res, predicted_radius(params))

@@ -52,9 +52,9 @@ def test_criterion_01_optimal_parameters(clustering_solution, clustering_triple)
     elapsed = time.perf_counter() - t0
     alpha, d0, c = sol.params.as_tuple()
     q_res = [
-        abs(optimize.polyval(optimize.DISCONTINUITY_QUARTIC, c)),
-        abs(optimize.polyval(optimize.PENALTY_QUARTIC, d0)),
-        abs(optimize.polyval(optimize.RELAXATION_QUARTIC, alpha)),
+        abs(np.polyval(optimize.DISCONTINUITY_QUARTIC, c)),
+        abs(np.polyval(optimize.PENALTY_QUARTIC, d0)),
+        abs(np.polyval(optimize.RELAXATION_QUARTIC, alpha)),
     ]
     ref_gap = max(
         abs(x - y) for x, y in zip(sol.params.as_tuple(), clustering_triple.as_tuple())

@@ -164,6 +164,24 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "spectrum1d", "--delta0", "0.5") == 1
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    *[("gmres-sweep", "--tol", v) for v in ("0", "-1", "nan", "inf")],
+    *[("spectrum1d", "--cluster-tol", v) for v in ("0", "nan")],
+    *[("spectrum2d", "--max-evals", v) for v in ("0", "-3")],
+])
+def test_non_positive_number_is_usage_error(tmp_path, capsys, command, flag, value):
+    assert run(tmp_path, command, flag, value) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag}: expected a positive finite" in err
+    assert not list(tmp_path.iterdir())  # rejected before anything ran
+
+
+@pytest.mark.parametrize("argv", [("optimize",), ("spectrum1d", "--cells", "4", "--format", "svg")])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1
+    assert f"cannot write {tmp_path / 'missing' / 'x'}_" in capsys.readouterr().err
+
+
 # a value each flag accepts, and the (command, flag) pairs whose command
 # does not read that flag
 FLAG_VALUES = {"--cells": "8", "--bc": "periodic", "--preset": "classical", "--alpha": "0.5",

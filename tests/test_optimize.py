@@ -8,15 +8,7 @@ from dgml import lfa, optimize, spectrum
 
 
 # ---------------------------------------------------------------------------
-# polynomial root isolation (numpy companion-matrix roots as the oracle)
-
-
-def oracle_roots(coeffs, lo, hi):
-    return sorted(
-        r.real
-        for r in np.roots(coeffs)
-        if abs(r.imag) < 1e-10 and lo < r.real < hi
-    )
+# bracketed quartic roots (numpy companion-matrix roots as the oracle)
 
 
 @pytest.mark.parametrize(
@@ -25,38 +17,29 @@ def oracle_roots(coeffs, lo, hi):
         (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
         (optimize.PENALTY_QUARTIC, 1.0, 10.0),
         (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
-        ((1.0, 0.0, -1.0), 0.0, 2.0),
-        ((1.0, -1.8, 0.8), -5.0, 5.0),
-        ((2.0, 1.0), -1.0, 1.0),
     ],
 )
 def test_roots_match_companion_oracle(coeffs, lo, hi):
-    mine = optimize.real_roots_in_interval(coeffs, lo, hi)
-    ref = oracle_roots(coeffs, lo, hi)
-    assert len(mine) == len(ref)
-    np.testing.assert_allclose(mine, ref, atol=1e-10)
-    scale = max(abs(c) for c in coeffs)
-    for r in mine:
-        assert abs(optimize.polyval(coeffs, r)) < 1e-12 * scale
+    ref = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-10 and lo < r.real < hi]
+    assert len(ref) == 1
+    root = optimize.bracketed_root(coeffs, lo, hi)
+    assert abs(root - ref[0]) < 1e-12
+    assert abs(np.polyval(coeffs, root)) < 1e-12 * max(abs(c) for c in coeffs)
 
 
 def test_roots_simple_cases():
-    assert optimize.real_roots_in_interval((1.0, 0.0, -1.0), 0.0, 2.0) == [1.0]
-    assert optimize.real_roots_in_interval((1.0, 0.0, 1.0), -2.0, 2.0) == []
-    # open interval: endpoint roots excluded
-    assert optimize.real_roots_in_interval((1.0, 0.0, -1.0), 1.0, 2.0) == []
+    assert optimize.bracketed_root((1.0, 0.0, -1.0), 0.0, 2.0) == 1.0
+    assert optimize.bracketed_root((2.0, 1.0), -1.0, 1.0) == -0.5
 
 
-def test_roots_tangent_double_roots():
-    # (x - 0.3)^2 (x - 0.7)^2 touches zero without sign change
-    coeffs = np.polynomial.polynomial.polyfromroots([0.3, 0.3, 0.7, 0.7])[::-1]
-    roots = optimize.real_roots_in_interval(tuple(coeffs), 0.0, 1.0)
-    np.testing.assert_allclose(roots, [0.3, 0.7], atol=1e-6)
-
-
-def test_roots_degenerate_interval():
+@pytest.mark.parametrize(
+    "coeffs,lo,hi",
+    [((1.0, 0.0, 1.0), -2.0, 2.0), ((1.0, 0.0, -1.0), 1.0, 2.0), ((1.0, -1.0), 1.0, 1.0)],
+    ids=["no-real-root", "endpoint-root", "empty-bracket"],
+)
+def test_bracketed_root_requires_strict_sign_change(coeffs, lo, hi):
     with pytest.raises(ValueError):
-        optimize.real_roots_in_interval((1.0, -1.0), 1.0, 1.0)
+        optimize.bracketed_root(coeffs, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +57,9 @@ def test_clustering_parameters_residuals():
     sol = optimize.clustering_parameters()
     assert max(abs(r) for r in sol.residuals) < 1e-9
     alpha, d0, c = sol.params.as_tuple()
-    assert abs(optimize.polyval(optimize.DISCONTINUITY_QUARTIC, c)) < 1e-12 * 8
-    assert abs(optimize.polyval(optimize.PENALTY_QUARTIC, d0)) < 1e-12 * 32
-    assert abs(optimize.polyval(optimize.RELAXATION_QUARTIC, alpha)) < 1e-12 * 352
+    assert abs(np.polyval(optimize.DISCONTINUITY_QUARTIC, c)) < 1e-12 * 8
+    assert abs(np.polyval(optimize.PENALTY_QUARTIC, d0)) < 1e-12 * 32
+    assert abs(np.polyval(optimize.RELAXATION_QUARTIC, alpha)) < 1e-12 * 352
 
 
 def test_clustering_radius(clustering_triple):
