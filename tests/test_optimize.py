@@ -8,7 +8,7 @@ from dgml import lfa, optimize, spectrum
 
 
 # ---------------------------------------------------------------------------
-# bracketed quartic roots (numpy companion-matrix roots as the oracle)
+# bracketed polynomial roots (numpy companion-matrix roots as the oracle)
 
 
 @pytest.mark.parametrize(
@@ -17,6 +17,9 @@ from dgml import lfa, optimize, spectrum
         (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
         (optimize.PENALTY_QUARTIC, 1.0, 10.0),
         (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
+        ((1.0, 0.0, -1.0), 0.0, 2.0),
+        ((1.0, -1.8, 0.8), 0.9, 5.0),
+        ((2.0, 1.0), -1.0, 1.0),
     ],
 )
 def test_roots_match_companion_oracle(coeffs, lo, hi):
