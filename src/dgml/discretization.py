@@ -116,15 +116,18 @@ def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     n = 2 * J
     check_dense_cap(n)
     periodic = config.bc is BoundaryCondition.PERIODIC
+    i = np.arange(n)
+    partner = np.where(i % 2 == 0, i - 1, i + 1)  # node pairs are (2m-1, 2m)
+    rows = np.tile(i, 4)
+    cols = np.concatenate([i, partner, i - 2, i + 2])
+    vals = np.repeat([delta0, 1.0 - delta0, -0.5, -0.5], n)
+    if periodic:
+        cols %= n
+    else:  # drop the couplings to ghost traces outside the interval
+        inside = (cols >= 0) & (cols < n)
+        rows, cols, vals = rows[inside], cols[inside], vals[inside]
     A = np.zeros((n, n))
-    for i in range(n):
-        # the trace sharing a node with dof i: node pairs are (2m-1, 2m)
-        partner = i - 1 if i % 2 == 0 else i + 1
-        for j, v in ((i, delta0), (partner, 1.0 - delta0), (i - 2, -0.5), (i + 2, -0.5)):
-            if periodic:
-                A[i, j % n] += v
-            elif 0 <= j < n:
-                A[i, j] += v
+    np.add.at(A, (rows, cols), vals)  # accumulates: at n=4 the wrapped +-2 couplings meet
     if not periodic:
         # boundary-face penalty doubles the two corner entries
         A[0, 0] += delta0

@@ -27,6 +27,16 @@ class SolveReport:
     contraction: float = math.nan
 
 
+def _back_substitution(U: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve U y = g for upper-triangular U."""
+    if not np.all(np.diag(U)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    y = np.zeros(len(g))
+    for i in reversed(range(len(g))):
+        y[i] = (g[i] - U[i, i + 1 :] @ y[i + 1 :]) / U[i, i]
+    return y
+
+
 def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -> SolveReport:
     """Left-preconditioned GMRES, no restarts, modified Gram-Schmidt.
 
@@ -49,8 +59,9 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     if beta == 0.0:
         return SolveReport(0, history, False, np.zeros(n), float(np.linalg.norm(b)))
 
-    V = np.zeros((max_iter + 1, n))  # basis as rows: a solve touches only the rows it uses
-    H = np.zeros((max_iter + 1, max_iter))
+    cap = min(max_iter, 32)  # Arnoldi steps V and H hold; doubled when reached
+    V = np.zeros((cap + 1, n))  # basis as rows
+    H = np.zeros((cap + 1, cap))
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter)
     g = np.zeros(max_iter + 1)
@@ -60,6 +71,11 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     converged = False
     m = 0
     for j in range(max_iter):
+        if j == cap:
+            grow = min(cap, max_iter - cap)
+            V = np.pad(V, ((0, grow), (0, 0)))
+            H = np.pad(H, ((0, grow), (0, grow)))
+            cap += grow
         w = apply_M(apply_A(V[j]))
         for i in range(j + 1):  # modified Gram-Schmidt
             H[i, j] = V[i] @ w
@@ -87,7 +103,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
         if happy:
             break
 
-    y = np.linalg.solve(H[:m, :m], g[:m]) if m else np.zeros(0)
+    y = _back_substitution(H[:m, :m], g[:m])
     x = y @ V[:m]
     true_res = float(np.linalg.norm(b - apply_A(x)))
     return SolveReport(m, history, converged, x, true_res)

@@ -21,8 +21,16 @@ so c = 1/2 reproduces continuous linear interpolation and any other c leaves
 a controlled jump at the fine midpoint node.  Restriction is R = P^T / 2
 (P^T / 4 in 2D) and the coarse operator is inherited, A0 = R A P.
 
-For periodic problems A0 is singular with the constant vector as kernel;
-coarse solves then act on the orthogonal complement (pseudo-inverse).
+The 1D prolongation P1 is block diagonal, so products with it act on the
+4x2 blocks in O(rows * cols) and no set-up forms R A P densely.  With
+K = P1^T A1 P1 / 2 (banded: block tridiagonal with 2x2 blocks, plus the
+periodic corners) the coarse operator is A0 = K in 1D and, since
+P2 = P1 (x) P1 and A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with
+M = P1^T P1 / 2 in 2D (the restriction scale cancels).  The 1D Dirichlet
+A0 is inverted by block elimination in O(m^2); 2D Dirichlet uses a dense
+inverse.  For periodic problems A0 is singular with the constant vector as
+kernel; coarse solves then act on the orthogonal complement
+(pseudo-inverse).
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .discretization import (
     ConfigError,
     DiscretizationConfig,
     assemble,
+    assemble_1d,
 )
 
 
@@ -82,6 +91,23 @@ def smoother_scale(config: DiscretizationConfig, params: MethodParams) -> float:
     return config.mesh_size ** 2 / (config.dim * params.penalty)
 
 
+def _prolongation_block(c: float) -> np.ndarray:
+    """The 4x2 block mapping one coarse cell's two dofs to its four fine dofs."""
+    return np.array([[1.0, 0.0], [c, 1.0 - c], [1.0 - c, c], [0.0, 1.0]])
+
+
+def _times_prolongation(X: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """X @ P1 for the 1D prolongation P1 = kron(I, block), in O(rows * cols)."""
+    rows = X.shape[0]
+    return (X.reshape(rows, -1, 4) @ block).reshape(rows, -1)
+
+
+def _prolongate(block: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P1 @ X for the 1D prolongation P1 = kron(I, block), in O(rows * cols)."""
+    cols = X.shape[1]
+    return (block @ X.reshape(-1, 2, cols)).reshape(-1, cols)
+
+
 def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     """Coarse-to-fine transfer with discontinuity parameter c.
 
@@ -93,17 +119,20 @@ def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     J = config.cells_per_dim
     if J % 2 != 0:
         raise ConfigError(f"prolongation needs an even cell count, got {J}")
-    block = np.array([[1.0, 0.0], [c, 1.0 - c], [1.0 - c, c], [0.0, 1.0]])
-    P = np.zeros((2 * J, J))
-    for K in range(J // 2):
-        P[4 * K : 4 * K + 4, 2 * K : 2 * K + 2] = block
+    P = np.kron(np.eye(J // 2), _prolongation_block(c))
     return np.kron(P, P) if config.dim == 2 else P
 
 
 @dataclass(frozen=True)
 class TwoLevelOperators:
-    """All dense operators of one two-level setup, assembled consistently;
-    the smoother inverse is the scalar smoother_scale times the identity."""
+    """The operators of one two-level setup, assembled consistently; the
+    smoother inverse is the scalar smoother_scale times the identity.
+
+    Every field is a dense array.  A, P and R are the fine-grid operators;
+    they stay dense because the benchmark and the dense oracles
+    (error_matrix, preconditioner_matrix) read them.  A0 and A0inv are
+    computed from the 1D factors, as the module docstring describes.
+    """
 
     config: DiscretizationConfig
     params: MethodParams
@@ -115,34 +144,76 @@ class TwoLevelOperators:
     A0inv: np.ndarray
 
 
+def _block_tridiagonal_inverse(T: np.ndarray) -> np.ndarray:
+    """Inverse of a block-tridiagonal matrix with 2x2 blocks by block
+    elimination on the identity, without pivoting (T is SPD here): O(m^2)
+    for m rows against O(m^3) for a dense inverse.  A singular pivot block
+    raises LinAlgError."""
+    m = T.shape[0]
+    X = np.eye(m)
+    pivots = np.empty((m // 2, 2, 2))
+    for k in range(m // 2):  # forward elimination of the sub-diagonal blocks
+        rows, prev = slice(2 * k, 2 * k + 2), slice(2 * k - 2, 2 * k)
+        pivot = T[rows, rows]
+        if k:
+            W = T[rows, prev] @ pivots[k - 1]
+            pivot = pivot - W @ T[prev, rows]
+            X[rows, : 2 * k] -= W @ X[prev, : 2 * k]  # X[prev] is zero from column 2k on
+        pivots[k] = np.linalg.inv(pivot)
+    for k in reversed(range(m // 2)):  # back substitution
+        rows, nxt = slice(2 * k, 2 * k + 2), slice(2 * k + 2, 2 * k + 4)
+        if k < m // 2 - 1:
+            X[rows] -= T[rows, nxt] @ X[nxt]
+        X[rows] = pivots[k] @ X[rows]
+    return X
+
+
 def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLevelOperators:
     """Assemble system, smoother, transfers and coarse operator in one go.
 
     R = P^T / 2^dim: in 2D the transfers are Kronecker products of the 1D
     ones, hence R = P^T / 4 there; the preconditioner is invariant to this
-    scaling because A0 is built from the same R and P.
+    scaling because A0 is built from the same R and P.  A singular coarse
+    operator outside the periodic kernel raises SingularCoarseError.
     """
     s = smoother_scale(config, params)
     A = assemble(config)
     P = prolongation_matrix(config, params.discontinuity)
     R = P.T / 2**config.dim
-    A0 = R @ A @ P
+    block = _prolongation_block(params.discontinuity)
+    A1 = A if config.dim == 1 else assemble_1d(config.with_dim(1))
+    # K = (R1 A1) P1, associated as the dense R A P; R1 A1 = (A1 P1)^T / 2 as A1 is symmetric
+    K = _times_prolongation(_times_prolongation(A1, block).T / 2, block)
+    if config.dim == 1:
+        A0 = K
+    else:
+        M = np.kron(np.eye(config.cells_per_dim // 2), block.T @ block / 2)  # P1^T P1 / 2
+        A0 = np.kron(K, M) + np.kron(M, K)
     if config.bc is BoundaryCondition.PERIODIC:
         A0inv = np.linalg.pinv(A0, rcond=1e-10, hermitian=True)
     else:
+        invert = _block_tridiagonal_inverse if config.dim == 1 else np.linalg.inv
         try:
-            A0inv = np.linalg.inv(A0)
+            A0inv = invert(A0)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     return TwoLevelOperators(config, params, A, s, P, R, A0, A0inv)
 
 
 def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
-    """Dense M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A)."""
-    n = ops.A.shape[0]
+    """Dense 1D M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A).
+
+    A is symmetric, so R (I - alpha*s*A) = (P - alpha*s*A P)^T / 2, and the
+    products with P use its 4x2 blocks; the one dense product left is
+    A0^{-1} times that m x n matrix.
+    """
+    if ops.config.dim != 1:
+        raise ConfigError("preconditioner_matrix is 1D only; use apply_preconditioner in 2D")
     a_s = ops.params.alpha * ops.smoother_scale
-    Minv = ops.P @ ops.A0inv @ ops.R @ (np.eye(n) - a_s * ops.A)
-    Minv[np.diag_indices(n)] += a_s
+    block = _prolongation_block(ops.params.discontinuity)
+    C = (ops.P - a_s * _times_prolongation(ops.A, block)).T / 2
+    Minv = _prolongate(block, ops.A0inv @ C)
+    Minv[np.diag_indices(Minv.shape[0])] += a_s
     return Minv
 
 

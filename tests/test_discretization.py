@@ -11,6 +11,7 @@ from dgml.discretization import (
     dense_cap,
     source_vector,
 )
+from helpers import sipg_1d_loop
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -33,6 +34,15 @@ def test_periodic_interior_row_values():
         assert row[(i - 2) % (2 * J)] == -0.5 * h2inv
         assert row[(i + 2) % (2 * J)] == -0.5 * h2inv
         assert np.count_nonzero(row) == 4
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+@pytest.mark.parametrize("J", [2, 4, 6, 8, 64, 1024])
+def test_assemble_1d_matches_stencil_loop(bc, J):
+    # n = 4 periodic folds the +-2 couplings onto one entry, which must add up
+    for delta0 in (2.0, 1.37):
+        A = assemble_1d(DiscretizationConfig(J, delta0, bc))
+        assert np.array_equal(A, sipg_1d_loop(J, delta0, bc))
 
 
 def test_dirichlet_boundary_blocks():

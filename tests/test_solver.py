@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,31 @@ def test_gmres_max_iter_exceeded():
     rep = gmres(lambda v: A @ v, None, b, tol=1e-14, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
+
+
+def test_gmres_storage_grows_with_the_iterations():
+    # the basis is reserved in chunks, not as max_iter = n rows up front
+    n = 10_000
+    b = np.linspace(1.0, 2.0, n)
+    tracemalloc.start()
+    try:
+        rep = gmres(lambda v: v, None, b, tol=1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 1 and rep.converged
+    assert peak < 64 * n * 8
+
+
+def test_gmres_past_several_storage_chunks():
+    # 100 distinct eigenvalues need about 100 iterations: the storage grows
+    # from 32 to 64 to 100 rows
+    d = np.linspace(1.0, 1e3, 100)
+    b = np.random.default_rng(3).standard_normal(100)
+    rep = gmres(lambda v: d * v, None, b, tol=1e-13)
+    assert rep.converged and rep.iterations > 64
+    np.testing.assert_allclose(rep.solution, b / d, rtol=1e-8)
+    assert np.all(np.diff(rep.residual_history) <= 1e-12 * rep.residual_history[0])
 
 
 def test_gmres_preconditioned_agrees_with_direct(clustering_triple):

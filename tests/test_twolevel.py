@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgml.discretization import (
     BoundaryCondition,
@@ -10,6 +11,7 @@ from dgml.discretization import (
 )
 from dgml.twolevel import (
     MethodParams,
+    SingularCoarseError,
     apply_preconditioner,
     build_two_level,
     error_matrix,
@@ -18,7 +20,7 @@ from dgml.twolevel import (
     smoother_scale,
 )
 from dgml import lfa
-from helpers import deflate_constant
+from helpers import deflate_constant, dense_two_level
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -231,3 +233,69 @@ def test_error_operator_free_function_matches_bundle():
     for bc in (PER, DIR):
         ops = build_two_level(DiscretizationConfig(8, 2.0, bc), params)
         np.testing.assert_allclose(error_matrix(ops), propagate_error(ops, np.eye(16)), atol=1e-13)
+
+
+# structured set-up against the dense products
+
+
+ALPHA = st.floats(0.0, 1.0)
+PENALTY = st.floats(1.01, 10.0)
+DISCONTINUITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def relative_error(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def assert_matches_dense(ops, dense):
+    assert np.array_equal(ops.A, dense.A)
+    assert np.array_equal(ops.P, dense.P)
+    assert np.array_equal(ops.R, dense.R)
+    assert relative_error(ops.A0, dense.A0) < 1e-12
+    assert relative_error(ops.A0inv, dense.A0inv) < 1e-12
+
+
+@pytest.mark.parametrize("bc", [DIR, PER])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(J=st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]), alpha=ALPHA, penalty=PENALTY, c=DISCONTINUITY)
+def test_structured_setup_matches_dense_1d(bc, J, alpha, penalty, c):
+    cfg, params = DiscretizationConfig(J, penalty, bc), MethodParams(alpha, penalty, c)
+    ops, dense = build_two_level(cfg, params), dense_two_level(cfg, params)
+    assert_matches_dense(ops, dense)
+    assert relative_error(preconditioner_matrix(ops), dense.Minv) < 1e-12
+
+
+@pytest.mark.parametrize("bc", [DIR, PER])
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(J=st.sampled_from([2, 4, 8, 16]), alpha=ALPHA, penalty=PENALTY, c=DISCONTINUITY)
+def test_structured_setup_matches_dense_2d(bc, J, alpha, penalty, c):
+    cfg, params = DiscretizationConfig(J, penalty, bc, 2), MethodParams(alpha, penalty, c)
+    assert_matches_dense(build_two_level(cfg, params), dense_two_level(cfg, params))
+
+
+def test_preconditioner_matrix_is_1d_only():
+    ops = build_two_level(DiscretizationConfig(4, 2.0, DIR, 2), MethodParams(0.9, 2.0, 0.5))
+    with pytest.raises(ConfigError, match="apply_preconditioner"):
+        preconditioner_matrix(ops)
+
+
+def test_dirichlet_coarse_inverse_pivots(monkeypatch):
+    # the 1D Dirichlet set-up inverts only its J/2 pivot blocks of size 2x2;
+    # a singular pivot surfaces as SingularCoarseError
+    inv, shapes = np.linalg.inv, []
+
+    def recording_inv(a, fail_at=None):
+        shapes.append(np.shape(a))
+        if len(shapes) == fail_at:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    cfg, params = DiscretizationConfig(8, 2.0, DIR), MethodParams(0.9, 2.0, 0.5)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    build_two_level(cfg, params)
+    assert shapes == [(2, 2)] * 4
+    shapes.clear()
+    monkeypatch.setattr(np.linalg, "inv", lambda a: recording_inv(a, fail_at=3))
+    with pytest.raises(SingularCoarseError):
+        build_two_level(cfg, params)
+    assert shapes == [(2, 2)] * 3
