@@ -34,8 +34,6 @@ from .lfa import (
     error_spectrum_symbols,
     multiset_deviation,
     symbol_error,
-    symbol_prolongation,
-    symbol_restriction,
     symbol_system,
     symbol_radius,
 )

@@ -89,8 +89,8 @@ class DiscretizationConfig:
                 f"cells_per_dim must be even and >= 2 (coarsening by 2), "
                 f"got {self.cells_per_dim}"
             )
-        if not self.penalty > 1.0:
-            raise ConfigError(f"penalty must exceed 1, got {self.penalty}")
+        if not 1.0 < self.penalty < np.inf:
+            raise ConfigError(f"penalty must be finite and exceed 1, got {self.penalty}")
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
 
@@ -107,6 +107,17 @@ class DiscretizationConfig:
         return DiscretizationConfig(self.cells_per_dim, self.penalty, self.bc, dim)
 
 
+def _couplings(n: int, delta0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interior stencil of rows 0..n-1 as (rows, cols, values), in units
+    of 1/h^2; the columns are not wrapped, so they run from -2 to n+1."""
+    i = np.arange(n)
+    partner = np.where(i % 2 == 0, i - 1, i + 1)  # node pairs are (2m-1, 2m)
+    rows = np.tile(i, 4)
+    cols = np.concatenate([i, partner, i - 2, i + 2])
+    vals = np.repeat([delta0, 1.0 - delta0, -0.5, -0.5], n)
+    return rows, cols, vals
+
+
 def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the 1D SIPG system matrix for -u'' on the unit interval."""
     if config.dim != 1:
@@ -116,11 +127,7 @@ def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     n = 2 * J
     check_dense_cap(n)
     periodic = config.bc is BoundaryCondition.PERIODIC
-    i = np.arange(n)
-    partner = np.where(i % 2 == 0, i - 1, i + 1)  # node pairs are (2m-1, 2m)
-    rows = np.tile(i, 4)
-    cols = np.concatenate([i, partner, i - 2, i + 2])
-    vals = np.repeat([delta0, 1.0 - delta0, -0.5, -0.5], n)
+    rows, cols, vals = _couplings(n, delta0)
     if periodic:
         cols %= n
     else:  # drop the couplings to ghost traces outside the interval

@@ -1,33 +1,29 @@
 """Fourier (block) symbols of the two-level operators on periodic meshes.
 
-A periodic fine mesh with J cells couples each frequency k in [0, J/2) with
-its coarsening alias k - J/2.  Collecting the two dof components of both
-harmonics gives 4x4 fine-level blocks; the coarse level sees a single
-harmonic, giving 2x2 blocks, and the transfers are 2x4 / 4x2.  Throughout,
-theta = 2*pi*k/J.
+The symbols live on the coarse-cell Fourier basis.  A periodic fine mesh with
+J cells has J/2 coarse cells; coarse cell m holds the fine dofs 4m..4m+3 and
+the coarse dofs 2m, 2m+1.  At frequency index k in [0, J/2), with
+theta = 4*pi*k/J, fine basis vector j puts e^{i theta m}/sqrt(J/2) on dof
+4m + j of every cell m, and coarse basis vector l does the same on dof
+2m + l.  The fine span is that of the harmonics k and k - J/2, which
+coarsening aliases.  An operator that is periodic over one coarse cell has
+the block sum_d A_d e^{i d theta} there, A_d coupling a cell to its d-th
+neighbour (Trottenberg, Oosterlee & Schueller, Multigrid, 2001, ch. 4), so
+the block-diagonal prolongation has its own real 4x2 block as symbol and
+restriction its transpose over 2^dim.
 
-Every symbol takes k as a scalar or an integer array and returns its blocks
-stacked over k's shape: (..., 4, 4) for the system and error symbols,
-(..., 2, 4) for restriction and (..., 4, 2) for prolongation.
+Every symbol takes k as a scalar or an integer array and returns its 4x4
+blocks stacked over k's shape.  In 2D, at k = (kx, ky), the basis is the
+Kronecker product of the 1D ones (x-major, as the 2D dofs), the system
+block A(kx) (x) I + I (x) A(ky) and the prolongation block P (x) P.  The
+blocks are the exact matrices of the dense periodic operators on this
+orthonormal basis (tests verify this entrywise), so
 
-Block layout: component order (value right of a node, value left of a node)
-and harmonic order (alias k - J/2 first, base frequency k second).  The
-node shared by coarse and fine mesh is taken at an even fine index.
-
-All blocks are the exact matrix representations of the dense periodic
-operators on the orthonormal Fourier pair bases (tests verify this
-entrywise against an FFT-based block diagonalization).  In 2D, at
-k = (kx, ky), the blocks are the Kronecker products A(kx) (x) I + I (x) A(ky),
-R(kx) (x) R(ky) and P(kx) (x) P(ky) of the 1D ones.  The coarse symbol
-is the Galerkin product restriction @ system @ prolongation, built as such,
-and the smoother is the scalar h^2/(dim*delta0), so
-
-    prolongation = 2 * restriction^H,
     union over k of eig(error symbol) = eig(dense error operator)
 
-hold to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
+holds to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
 have the closed form lambda = center +/- sqrt(num/den) with polynomial
-center/num/den in (alpha, delta0, c) and cos(4*pi*k/J);
+center/num/den in (alpha, delta0, c) and cos(theta);
 eigenvalues_closed_form_at evaluates it on an array of cosines.
 """
 
@@ -35,59 +31,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretization import BoundaryCondition, DiscretizationConfig
-from .twolevel import MethodParams, smoother_scale
+from .discretization import BoundaryCondition, DiscretizationConfig, _couplings
+from .twolevel import MethodParams, _prolongation_block, smoother_scale
 
 
 class DegenerateParameterError(ValueError):
     """Parameter combination puts a symbol denominator at zero."""
 
 
-def _frequencies(k, J: int) -> np.ndarray:
+def _theta(k, J: int) -> np.ndarray:
+    """The phase theta = 4*pi*k/J of frequency indices k in [0, J/2)."""
     k = np.asarray(k)
     if np.any((k < 0) | (k >= J // 2)):
         raise ValueError(f"frequency index k={k} outside [0, {J // 2})")
-    return k
+    return 4.0 * np.pi * k / J
+
+
+def _coupling_blocks(penalty: float) -> np.ndarray:
+    """The 4x4 blocks coupling one coarse cell's four fine dofs to those of
+    the cell on its left, of itself and of the cell on its right, stacked in
+    that order; units of 1/h^2."""
+    rows, cols, vals = _couplings(4, penalty)
+    blocks = np.zeros((3, 4, 4))
+    np.add.at(blocks, (cols // 4 + 1, rows, cols % 4), vals)
+    return blocks
 
 
 def symbol_system(k, J: int, penalty: float) -> np.ndarray:
-    """4x4 symbols of the system matrix at the harmonic pairs {k - J/2, k}.
-
-    Each harmonic contributes a 2x2 block [[d, 1-delta0], [1-delta0, d]]
-    with d = delta0 + cos(theta) at the alias k - J/2 (the shift by J/2
-    flips the cosine's sign) and d = delta0 - cos(theta) at the base
-    frequency; units of 1/h^2.
-    """
-    k = _frequencies(k, J)
-    cos = np.cos(2.0 * np.pi * k / J)
-    M = np.zeros(k.shape + (4, 4), dtype=complex)
-    M[..., 0, 0] = M[..., 1, 1] = penalty + cos
-    M[..., 2, 2] = M[..., 3, 3] = penalty - cos
-    M[..., 0, 1] = M[..., 1, 0] = M[..., 2, 3] = M[..., 3, 2] = 1.0 - penalty
-    return M * float(J) ** 2  # 1/h^2
-
-
-def symbol_restriction(k, J: int, c: float) -> np.ndarray:
-    """2x4 restriction symbols, rows = coarse components, cols = fine pair.
-
-    This is the exact block of the dense restriction on the orthonormal
-    Fourier bases: 1/(2*sqrt(2)) times a bracket whose entries are
-    1 +/- (c-1)e^{i theta} and +/- c e^{i theta} combinations, with the
-    (2,1) entry carrying a minus sign (the entry is -c e^{-i theta}; the
-    dense oracle pins both the sign and the prefactor).
-    """
-    e = np.exp(2j * np.pi * _frequencies(k, J) / J)
-    ec = np.conj(e)
-    entries = [
-        1.0 + (c - 1.0) * e, -c * e, 1.0 - (c - 1.0) * e, c * e,
-        -c * ec, 1.0 + (c - 1.0) * ec, c * ec, 1.0 - (c - 1.0) * ec,
-    ]
-    return np.stack(entries, axis=-1).reshape(e.shape + (2, 4)) / (2.0 * np.sqrt(2.0))
-
-
-def symbol_prolongation(k, J: int, c: float) -> np.ndarray:
-    """4x2 prolongation symbols, twice the conjugate transpose of restriction."""
-    return 2.0 * np.conj(np.swapaxes(symbol_restriction(k, J, c), -1, -2))
+    """4x4 symbols A_- e^{-i theta} + A_0 + A_+ e^{i theta} of the system
+    matrix, from the coupling blocks of the SIPG stencil."""
+    minus, centre, plus = _coupling_blocks(penalty)
+    e = np.exp(1j * _theta(k, J))[..., None, None]
+    return (centre + plus * e + minus * np.conj(e)) * float(J) ** 2  # 1/h^2
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,6 +75,7 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
     """Error symbols (I - P A0^{-1} R A)(I - alpha s A) at frequencies k:
     4x4 blocks in 1D, 16x16 in 2D, where k has a trailing (kx, ky) axis.
 
+    P is the prolongation block (its Kronecker square in 2D), R = P^T/2^dim,
     A0 = R A P is the Galerkin coarse symbol and s = h^2/(dim*delta0) the
     smoother.  A0 is singular exactly at the kernel frequency k = 0
     (constant vector), where its pseudo-inverse solves on the complement and
@@ -107,21 +83,20 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
     operator; a singular A0 at any other k raises DegenerateParameterError.
     """
     k = np.asarray(k)
-    d0, c = params.penalty, params.discontinuity
+    d0 = params.penalty
+    P = _prolongation_block(params.discontinuity)
     if dim == 1:
         A = symbol_system(k, J, d0)
-        R, P = symbol_restriction(k, J, c), symbol_prolongation(k, J, c)
         kernel = k == 0
     elif dim == 2 and k.shape[-1:] == (2,):
         kx, ky = k[..., 0], k[..., 1]
         I4 = np.eye(4)
         A = _kron(symbol_system(kx, J, d0), I4) + _kron(I4, symbol_system(ky, J, d0))
-        R = _kron(symbol_restriction(kx, J, c), symbol_restriction(ky, J, c))
-        P = _kron(symbol_prolongation(kx, J, c), symbol_prolongation(ky, J, c))
+        P = np.kron(P, P)
         kernel = (kx == 0) & (ky == 0)
     else:
         raise ValueError(f"need dim 1, or dim 2 with a trailing (kx, ky) axis; got {dim}, k of shape {k.shape}")
-    RA = R @ A
+    RA = (P.T / 2**dim) @ A
     A0 = RA @ P
     A0inv = np.empty_like(A0)
     A0inv[kernel] = np.linalg.pinv(A0[kernel], rcond=1e-10)
@@ -149,7 +124,7 @@ def _coefficients(alpha: float, d0: float, c: float):
     (constant, cos, cos^2) coefficients of radicand numerator/denominator.
 
     The center is (-alpha*g1 + d0*g2 + (1-c)*g3*x) / (d0*g2 - d0*(c-1)^2*x)
-    with x = cos(4*pi*k/J); the same bracket g2 appears in numerator and
+    with x = cos(theta); the same bracket g2 appears in numerator and
     denominator (the numeric oracle pins this down, together with the
     overall factor 1/2 of the radicand).
     """
@@ -183,7 +158,7 @@ def _coefficients(alpha: float, d0: float, c: float):
 
 def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
     """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
-    cos(4*pi*k/J); a scalar or array cosine gives a (..., 2) complex array."""
+    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
     (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*params.as_tuple())
     x = np.asarray(cosine, dtype=float)
     den = den0 + den1 * x
@@ -199,12 +174,14 @@ def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
 
 
 def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
-    """Closed-form nonzero eigenvalues of the error symbols at frequencies k."""
-    return eigenvalues_closed_form_at(np.cos(4.0 * np.pi * _frequencies(k, J) / J), params)
+    """Closed-form nonzero eigenvalues of the error symbols at frequencies k,
+    evaluated at the cosine of the symbols' own phase theta = 4*pi*k/J."""
+    return eigenvalues_closed_form_at(np.cos(_theta(k, J)), params)
 
 
 def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the closed form on a uniform theta = 4*pi*k/J grid in [0, 2*pi).
+    """Sample the closed form on a uniform grid in [0, 2*pi) of the symbols'
+    phase theta = 4*pi*k/J.
 
     Returns the grid and an (npoints, 2) array of (lambda_plus, lambda_minus).
     """

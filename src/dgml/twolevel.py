@@ -67,8 +67,8 @@ class MethodParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.penalty > 1.0:
-            raise ConfigError(f"penalty must exceed 1, got {self.penalty}")
+        if not 1.0 < self.penalty < np.inf:
+            raise ConfigError(f"penalty must be finite and exceed 1, got {self.penalty}")
         if not 0.0 < self.discontinuity < 1.0:
             raise ConfigError(
                 f"discontinuity must lie in (0, 1), got {self.discontinuity}"
@@ -128,10 +128,11 @@ class TwoLevelOperators:
     """The operators of one two-level setup, assembled consistently; the
     smoother inverse is the scalar smoother_scale times the identity.
 
-    Every field is a dense array.  A, P and R are the fine-grid operators;
-    they stay dense because the benchmark and the dense oracles
-    (error_matrix, preconditioner_matrix) read them.  A0 and A0inv are
-    computed from the 1D factors, as the module docstring describes.
+    Every field is a dense array.  A and P are the fine-grid operators; they
+    stay dense because the benchmark and the dense oracles (error_matrix,
+    preconditioner_matrix) read them.  The restriction is not stored: it is
+    P^T / 2^dim.  A0 and A0inv are computed from the 1D factors, as the
+    module docstring describes.
     """
 
     config: DiscretizationConfig
@@ -139,7 +140,6 @@ class TwoLevelOperators:
     A: np.ndarray
     smoother_scale: float
     P: np.ndarray
-    R: np.ndarray
     A0: np.ndarray
     A0inv: np.ndarray
 
@@ -179,7 +179,6 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     s = smoother_scale(config, params)
     A = assemble(config)
     P = prolongation_matrix(config, params.discontinuity)
-    R = P.T / 2**config.dim
     block = _prolongation_block(params.discontinuity)
     A1 = A if config.dim == 1 else assemble_1d(config.with_dim(1))
     # K = (R1 A1) P1, associated as the dense R A P; R1 A1 = (A1 P1)^T / 2 as A1 is symmetric
@@ -197,7 +196,7 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
             A0inv = invert(A0)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
-    return TwoLevelOperators(config, params, A, s, P, R, A0, A0inv)
+    return TwoLevelOperators(config, params, A, s, P, A0, A0inv)
 
 
 def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
@@ -222,13 +221,13 @@ def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     then the coarse correction of its residual.  Equals
     preconditioner_matrix(ops) @ g without forming the n x n matrix."""
     x = ops.params.alpha * ops.smoother_scale * g
-    return x + ops.P @ (ops.A0inv @ (ops.R @ (g - ops.A @ x)))
+    return x + ops.P @ (ops.A0inv @ (ops.P.T @ (g - ops.A @ x) / 2**ops.config.dim))
 
 
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
     two-level setup."""
     n = ops.A.shape[0]
-    coarse = np.eye(n) - ops.P @ ops.A0inv @ ops.R @ ops.A
+    coarse = np.eye(n) - ops.P @ ops.A0inv @ (ops.P.T / 2**ops.config.dim) @ ops.A
     return coarse @ (np.eye(n) - ops.params.alpha * ops.smoother_scale * ops.A)
 

@@ -1,13 +1,13 @@
 """Oracle utilities for the tests.
 
-The Fourier bases built here block-diagonalize the dense periodic operators
-independently of the symbol formulas, so comparing projected blocks against
-the symbol module is a genuine two-route check.  deflate_constant gives the
-dense periodic spectrum with the constant mode deflated, the oracle of the
-symbol-based periodic spectra.  sipg_1d_loop, prolongation_loop and
-dense_two_level build the two-level set-up entry by entry and product by
-product, the oracle of the structured build_two_level and
-preconditioner_matrix.
+The coarse-cell Fourier bases built here block-diagonalize the dense
+periodic operators independently of the symbol formulas, so comparing
+projected blocks against the symbol module is a genuine two-route check.
+deflate_constant gives the dense periodic spectrum with the constant mode
+deflated, the oracle of the symbol-based periodic spectra.  sipg_1d_loop,
+prolongation_loop and dense_two_level build the two-level set-up entry by
+entry and product by product, the oracle of the structured build_two_level
+and preconditioner_matrix.
 """
 
 from types import SimpleNamespace
@@ -18,36 +18,13 @@ from dgml.discretization import BoundaryCondition
 from dgml.twolevel import smoother_scale
 
 
-def fourier_component_vectors(J, k):
-    """Orthonormal fine-grid Fourier vectors at frequency k, one per trace
-    side: (left-of-node component, right-of-node component)."""
-    m = np.arange(J)
-    phase = np.exp(2j * np.pi * k * m / J)
-    right = np.zeros(2 * J, complex)
-    right[2 * m] = phase
-    left = np.zeros(2 * J, complex)
-    left[(2 * m - 1) % (2 * J)] = phase
-    return left / np.sqrt(J), right / np.sqrt(J)
-
-
-def fine_pair_basis(J, k):
-    """2J x 4 orthonormal basis of the invariant subspace for the harmonic
-    pair {k - J/2, k}; column order matches the symbol layout."""
-    am, ap = fourier_component_vectors(J, k - J // 2)
-    bm, bp = fourier_component_vectors(J, k)
-    return np.column_stack([ap, am, bp, bm])
-
-
-def coarse_basis(J, k):
-    """J x 2 orthonormal coarse-grid basis at coarse frequency k."""
-    Jc = J // 2
-    L = np.arange(Jc)
-    phase = np.exp(2j * np.pi * k * L / Jc)
-    right = np.zeros(2 * Jc, complex)
-    right[2 * L] = phase
-    left = np.zeros(2 * Jc, complex)
-    left[(2 * L - 1) % (2 * Jc)] = phase
-    return np.column_stack([right, left]) / np.sqrt(Jc)
+def cell_fourier_basis(J, k, width):
+    """Orthonormal coarse-cell Fourier basis at theta = 4*pi*k/J: column j
+    puts e^{i theta m}/sqrt(J/2) on dof width*m + j of each of the J/2 coarse
+    cells m (width 4 on the fine grid, 2 on the coarse grid)."""
+    m = np.arange(J // 2)
+    phase = np.exp(4j * np.pi * k * m / J) / np.sqrt(J // 2)
+    return np.kron(phase[:, None], np.eye(width))
 
 
 def projected_block(op, basis_out, basis_in):
@@ -122,4 +99,4 @@ def dense_two_level(config, params):
         a_s = params.alpha * smoother_scale(config, params)
         Minv = P @ A0inv @ R @ (np.eye(n) - a_s * A)
         Minv[np.diag_indices(n)] += a_s
-    return SimpleNamespace(A=A, P=P, R=R, A0=A0, A0inv=A0inv, Minv=Minv)
+    return SimpleNamespace(A=A, P=P, A0=A0, A0inv=A0inv, Minv=Minv)

@@ -176,6 +176,13 @@ def test_non_positive_number_is_usage_error(tmp_path, capsys, command, flag, val
     assert not list(tmp_path.iterdir())  # rejected before anything ran
 
 
+@pytest.mark.parametrize("argv", [("spectrum1d",), ("gmres-sweep", "--cells-list", "16")])
+def test_non_finite_penalty_is_usage_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--delta0", "inf") == 1
+    assert "usage error: penalty must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # rejected before anything was written
+
+
 @pytest.mark.parametrize("argv", [("optimize",), ("spectrum1d", "--cells", "4", "--format", "svg")])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1

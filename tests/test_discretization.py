@@ -124,6 +124,8 @@ def test_config_validation():
         DiscretizationConfig(4, 1.0)
     with pytest.raises(ConfigError):
         DiscretizationConfig(4, 0.5)
+    with pytest.raises(ConfigError, match="finite"):
+        DiscretizationConfig(4, np.inf)
     with pytest.raises(ConfigError):
         DiscretizationConfig(4, 2.0, DIR, 3)
     with pytest.raises(ConfigError):

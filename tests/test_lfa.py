@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coarse_basis, deflate_constant, fine_pair_basis, invariance_defect, projected_block
+from helpers import cell_fourier_basis, deflate_constant, invariance_defect, projected_block
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
     MethodParams,
+    _prolongation_block,
     build_two_level,
     error_matrix,
     smoother_scale,
@@ -29,15 +30,15 @@ DISCONTINUITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def galerkin_coarse(k, J, delta0, c):
-    """The coarse symbol R A P built from the other symbols."""
-    return (
-        lfa.symbol_restriction(k, J, c) @ lfa.symbol_system(k, J, delta0)
-        @ lfa.symbol_prolongation(k, J, c)
-    )
+    """The coarse symbol R A P from the system symbol and the prolongation
+    block P, with R = P^T / 2."""
+    P = _prolongation_block(c)
+    return P.T @ lfa.symbol_system(k, J, delta0) @ P / 2
 
 
 def hand_typed_coarse(k, J, delta0, c):
-    """Independent reference: the 2x2 coarse symbol's closed-form bracket,
+    """Independent reference: the 2x2 coarse symbol's closed-form bracket on
+    another orthonormal basis of the same span (coarse dofs 2m and 2m-1),
     units of 1/h^2; it depends on k only through exp(4*pi*i*k/J)."""
     w = np.exp(4j * np.pi * k / J)
     diag = 0.5 * (c * (4.0 * (c - 1.0) * delta0 - 2.0 * c + 3.0) + (c - 1.0) * w.real + 2.0 * delta0 - 1.0)
@@ -53,45 +54,41 @@ def hand_typed_coarse(k, J, delta0, c):
 
 @pytest.mark.parametrize("delta0,c,alpha", [(1.7, 0.37, 0.81), (2.4, 0.64, 0.3)])
 def test_symbols_match_projected_dense_blocks(delta0, c, alpha):
-    J = 8
+    # J = 2 and 4 wrap: a cell's left and right neighbours are the cell
+    # itself (J = 2) or each other (J = 4), and the dense blocks accumulate
     params = MethodParams(alpha, delta0, c)
-    ops = build_two_level(DiscretizationConfig(J, delta0, PER), params)
-    E = error_matrix(ops)
-    for k in range(J // 2):
-        V = fine_pair_basis(J, k)
-        W = coarse_basis(J, k)
-        assert invariance_defect(ops.A, V) < 1e-10
-        np.testing.assert_allclose(
-            projected_block(ops.A, V, V), lfa.symbol_system(k, J, delta0),
-            atol=1e-10,
-        )
-        np.testing.assert_allclose(
-            projected_block(ops.R, W, V), lfa.symbol_restriction(k, J, c),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            projected_block(ops.P, V, W), lfa.symbol_prolongation(k, J, c),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            projected_block(ops.A0, W, W), galerkin_coarse(k, J, delta0, c),
-            atol=1e-10,
-        )
-        np.testing.assert_allclose(
-            projected_block(E, V, V), lfa.symbol_error(k, J, params), atol=1e-11,
-        )
+    block = _prolongation_block(c)
+    for J in (2, 4, 8, 16):
+        ops = build_two_level(DiscretizationConfig(J, delta0, PER), params)
+        E = error_matrix(ops)
+        for k in range(J // 2):
+            V, W = cell_fourier_basis(J, k, 4), cell_fourier_basis(J, k, 2)
+            assert invariance_defect(ops.A, V) < 1e-10
+            np.testing.assert_allclose(
+                projected_block(ops.A, V, V), lfa.symbol_system(k, J, delta0),
+                atol=1e-10,
+            )
+            np.testing.assert_allclose(projected_block(ops.P, V, W), block, atol=1e-12)
+            np.testing.assert_allclose(projected_block(ops.P.T / 2, W, V), block.T / 2, atol=1e-12)
+            np.testing.assert_allclose(
+                projected_block(ops.A0, W, W), galerkin_coarse(k, J, delta0, c),
+                atol=1e-10,
+            )
+            np.testing.assert_allclose(
+                projected_block(E, V, V), lfa.symbol_error(k, J, params), atol=1e-11,
+            )
 
 
 @pytest.mark.parametrize("J", [2, 4])
 def test_2d_symbols_match_projected_dense_blocks(J):
     # the 2D dofs are ordered x-major (A = A1 (x) I + I (x) A1), so the
-    # tensor products of the 1D pair bases block-diagonalize the 2D operators
+    # Kronecker products of the 1D cell bases block-diagonalize the 2D operators
     params = MethodParams(0.81, 1.7, 0.37)
     ops = build_two_level(DiscretizationConfig(J, params.penalty, PER, 2), params)
     E = error_matrix(ops)
     for kx in range(J // 2):
         for ky in range(J // 2):
-            V = np.kron(fine_pair_basis(J, kx), fine_pair_basis(J, ky))
+            V = np.kron(cell_fourier_basis(J, kx, 4), cell_fourier_basis(J, ky, 4))
             assert invariance_defect(E, V) < 1e-10
             np.testing.assert_allclose(
                 projected_block(E, V, V), lfa.symbol_error((kx, ky), J, params, 2), atol=1e-11,
@@ -114,60 +111,26 @@ def test_smoother_symbol_values():
 
 
 def test_smoother_symbol_normalizes_system_diagonal():
-    # diag of s * A_hat is 1 +/- cos(theta)/delta0 with s = h^2/delta0
+    # diag of s * A_hat is 1 with s = h^2/delta0
     k, J, delta0 = 2, 16, 1.8
     M = (1.0 / J) ** 2 / delta0 * lfa.symbol_system(k, J, delta0)
-    theta = 2 * np.pi * k / J
-    np.testing.assert_allclose(
-        np.diag(M).real,
-        [1 + np.cos(theta) / delta0] * 2 + [1 - np.cos(theta) / delta0] * 2,
-        atol=1e-13,
-    )
+    np.testing.assert_allclose(np.diag(M), 1.0, rtol=0, atol=1e-15)
 
 
 def test_system_symbol_hermitian_and_block_eigenvalues():
+    # the span holds the harmonics k and k - J/2, whose 2x2 blocks have the
+    # eigenvalues delta0 -/+ cos(2 pi k/J) +/- (1 - delta0)
     k, J, delta0 = 3, 16, 2.3
     A = lfa.symbol_system(k, J, delta0)
     np.testing.assert_allclose(A, A.conj().T, atol=1e-13)
-    lower = A[2:, 2:] / J**2  # base-frequency block
-    theta = 2 * np.pi * k / J
-    expected = sorted(
-        [delta0 - np.cos(theta) + (1 - delta0), delta0 - np.cos(theta) - (1 - delta0)]
-    )
-    np.testing.assert_allclose(sorted(np.linalg.eigvalsh(lower)), expected, atol=1e-13)
-
-
-def test_restriction_values_at_zero_frequency():
-    c = 0.5
-    R = lfa.symbol_restriction(0, 8, c)
-    scale = 1.0 / (2 * np.sqrt(2.0))
-    expected = np.array(
-        [
-            [1 + (c - 1), -c, 1 - (c - 1), c],
-            [-c, 1 + (c - 1), c, 1 - (c - 1)],
-        ]
-    ) * scale
-    np.testing.assert_allclose(R, expected, atol=1e-15)
-
-
-def test_restriction_complex_at_quarter_frequency():
-    R = lfa.symbol_restriction(4, 16, 0.5)  # e^{i theta} = i
-    assert np.abs(R.imag).max() > 0.1
-
-
-def test_prolongation_is_twice_adjoint():
-    for k in range(4):
-        R = lfa.symbol_restriction(k, 8, 0.7)
-        P = lfa.symbol_prolongation(k, 8, 0.7)
-        np.testing.assert_array_equal(P, 2.0 * R.conj().T)
-    np.testing.assert_array_equal(
-        lfa.symbol_prolongation(np.arange(4), 8, 0.7),
-        2.0 * np.conj(np.swapaxes(lfa.symbol_restriction(np.arange(4), 8, 0.7), -1, -2)),
-    )
+    cos = np.cos(2 * np.pi * k / J)
+    expected = sorted(delta0 + s * cos + t * (1 - delta0) for s in (1, -1) for t in (1, -1))
+    np.testing.assert_allclose(np.linalg.eigvalsh(A) / J**2, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_coarse_symbol_is_product_of_symbols(seed):
+    # the two bases differ, so compare what does not depend on the basis
     rng = np.random.default_rng(seed)
     params = random_params(rng)
     J = 16
@@ -175,7 +138,7 @@ def test_coarse_symbol_is_product_of_symbols(seed):
         A0 = galerkin_coarse(k, J, params.penalty, params.discontinuity)
         ref = hand_typed_coarse(k, J, params.penalty, params.discontinuity)
         scale = np.abs(ref).max()
-        assert np.abs(A0 - ref).max() < 1e-12 * scale
+        assert np.abs(np.linalg.eigvalsh(A0) - np.linalg.eigvalsh(ref)).max() < 1e-12 * scale
         np.testing.assert_allclose(A0, A0.conj().T, atol=1e-12 * scale)
 
 
@@ -189,7 +152,7 @@ def test_frequency_out_of_range():
     with pytest.raises(ValueError):
         lfa.symbol_system(4, 8, 2.0)
     with pytest.raises(ValueError):
-        lfa.symbol_restriction(-1, 8, 0.5)
+        lfa.symbol_system(-1, 8, 2.0)
     with pytest.raises(ValueError):
         lfa.symbol_error(np.arange(5), 8, MethodParams(0.7, 2.2, 0.3))
     with pytest.raises(ValueError):

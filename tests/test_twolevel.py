@@ -12,6 +12,7 @@ from dgml.discretization import (
 from dgml.twolevel import (
     MethodParams,
     SingularCoarseError,
+    _prolongation_block,
     apply_preconditioner,
     build_two_level,
     error_matrix,
@@ -29,7 +30,7 @@ DIR = BoundaryCondition.DIRICHLET
 def propagate_error(ops, e):
     """Matrix-free error propagation: smoothing, then coarse correction."""
     e = e - ops.params.alpha * ops.smoother_scale * (ops.A @ e)
-    return e - ops.P @ (ops.A0inv @ (ops.R @ (ops.A @ e)))
+    return e - ops.P @ (ops.A0inv @ (ops.P.T / 2 @ (ops.A @ e)))
 
 
 def test_method_params_validation():
@@ -39,6 +40,8 @@ def test_method_params_validation():
         MethodParams(-0.1, 2.0, 0.5)
     with pytest.raises(ConfigError):
         MethodParams(0.9, 1.0, 0.5)
+    with pytest.raises(ConfigError, match="finite"):
+        MethodParams(0.9, np.inf, 0.5)
     with pytest.raises(ConfigError):
         MethodParams(0.9, 2.0, 1.0)
     MethodParams(0.0, 2.0, 0.5)  # degenerate no-presmoothing case is allowed
@@ -112,14 +115,13 @@ def test_partition_of_unity(c):
 def test_restriction_is_half_transpose():
     params = MethodParams(0.9, 2.0, 0.37)
     ops = build_two_level(DiscretizationConfig(4, 2.0, DIR), params)
-    assert np.array_equal(ops.R, 0.5 * ops.P.T)
-    # 2D: the Kronecker square of the 1D restriction, exactly
+    # 2D: P^T / 4 is the Kronecker square of the 1D restriction, exactly
     ops2 = build_two_level(DiscretizationConfig(4, 2.0, DIR, 2), params)
-    assert np.array_equal(ops2.R, np.kron(ops.R, ops.R))
+    assert np.array_equal(ops2.P.T / 4, np.kron(ops.P.T / 2, ops.P.T / 2))
 
 
 def test_restriction_preserves_constants():
-    R = build_two_level(DiscretizationConfig(2, 2.0, DIR), MethodParams(0.9, 2.0, 0.6)).R
+    R = build_two_level(DiscretizationConfig(2, 2.0, DIR), MethodParams(0.9, 2.0, 0.6)).P.T / 2
     np.testing.assert_allclose(R @ np.ones(4), np.ones(2), atol=1e-14)
     np.testing.assert_allclose(R.sum(axis=1), 1.0)
 
@@ -136,15 +138,12 @@ def test_coarse_operator_symmetric():
 
 def test_coarse_operator_eigenvalues_match_symbols():
     # dense coarse spectrum equals the union of the spectra of the Galerkin
-    # products R A P built from the symbols
+    # products P^T A P / 2 of the system symbols and the prolongation block
     J, delta0, c = 8, 2.0, 0.5
     A0 = build_two_level(DiscretizationConfig(J, delta0, PER), MethodParams(0.9, delta0, c)).A0
     dense = np.linalg.eigvals(A0)
-    k = np.arange(J // 2)
-    blocks = (
-        lfa.symbol_restriction(k, J, c) @ lfa.symbol_system(k, J, delta0)
-        @ lfa.symbol_prolongation(k, J, c)
-    )
+    P = _prolongation_block(c)
+    blocks = P.T @ lfa.symbol_system(np.arange(J // 2), J, delta0) @ P / 2
     assert lfa.multiset_deviation(dense, np.linalg.eigvals(blocks).ravel()) < 1e-9
 
 
@@ -185,7 +184,7 @@ def test_error_operator_alpha_zero_is_coarse_correction():
     params = MethodParams(0.0, 2.0, 0.4)
     ops = build_two_level(cfg, params)
     E = error_matrix(ops)
-    expected = np.eye(16) - ops.P @ ops.A0inv @ ops.R @ ops.A
+    expected = np.eye(16) - ops.P @ ops.A0inv @ (ops.P.T / 2) @ ops.A
     np.testing.assert_allclose(E, expected, atol=1e-13 * np.abs(expected).max())
 
 
@@ -194,7 +193,7 @@ def test_coarse_correction_annihilates_coarse_space():
     cfg = DiscretizationConfig(8, 1.6, DIR)
     params = MethodParams(0.9, 1.6, 0.7)
     ops = build_two_level(cfg, params)
-    C = np.eye(16) - ops.P @ ops.A0inv @ ops.R @ ops.A
+    C = np.eye(16) - ops.P @ ops.A0inv @ (ops.P.T / 2) @ ops.A
     assert np.abs(C @ ops.P).max() < 1e-12
 
 
@@ -250,7 +249,6 @@ def relative_error(x, ref):
 def assert_matches_dense(ops, dense):
     assert np.array_equal(ops.A, dense.A)
     assert np.array_equal(ops.P, dense.P)
-    assert np.array_equal(ops.R, dense.R)
     assert relative_error(ops.A0, dense.A0) < 1e-12
     assert relative_error(ops.A0inv, dense.A0inv) < 1e-12
 
