@@ -118,28 +118,33 @@ def _couplings(n: int, delta0: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, vals
 
 
+def _stencil_1d(config: DiscretizationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1D system matrix as (rows, cols, values) triplets, the boundary
+    closure applied and the values scaled by 1/h^2; repeated (row, col)
+    pairs add (at n=4 the wrapped +-2 couplings meet)."""
+    n = 2 * config.cells_per_dim
+    delta0 = config.penalty
+    rows, cols, vals = _couplings(n, delta0)
+    if config.bc is BoundaryCondition.PERIODIC:
+        cols %= n
+    else:  # drop the couplings to ghost traces outside the interval
+        inside = (cols >= 0) & (cols < n)
+        # the boundary-face penalty doubles the two corner entries
+        rows = np.append(rows[inside], [0, n - 1])
+        cols = np.append(cols[inside], [0, n - 1])
+        vals = np.append(vals[inside], [delta0, delta0])
+    return rows, cols, vals * float(config.cells_per_dim) ** 2
+
+
 def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the 1D SIPG system matrix for -u'' on the unit interval."""
     if config.dim != 1:
         raise ConfigError("assemble_1d requires dim=1")
-    J = config.cells_per_dim
-    delta0 = config.penalty
-    n = 2 * J
+    n = 2 * config.cells_per_dim
     check_dense_cap(n)
-    periodic = config.bc is BoundaryCondition.PERIODIC
-    rows, cols, vals = _couplings(n, delta0)
-    if periodic:
-        cols %= n
-    else:  # drop the couplings to ghost traces outside the interval
-        inside = (cols >= 0) & (cols < n)
-        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    rows, cols, vals = _stencil_1d(config)
     A = np.zeros((n, n))
-    np.add.at(A, (rows, cols), vals)  # accumulates: at n=4 the wrapped +-2 couplings meet
-    if not periodic:
-        # boundary-face penalty doubles the two corner entries
-        A[0, 0] += delta0
-        A[n - 1, n - 1] += delta0
-    A *= float(J) ** 2  # 1/h^2
+    np.add.at(A, (rows, cols), vals)
     return A
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,7 @@ DIR = BoundaryCondition.DIRICHLET
 def propagate_error(ops, e):
     """Matrix-free error propagation: smoothing, then coarse correction."""
     e = e - ops.params.alpha * ops.smoother_scale * (ops.A @ e)
-    return e - ops.P @ (ops.A0inv @ (ops.P.T / 2 @ (ops.A @ e)))
+    return e - ops.P @ (ops.coarse_solve(np.eye(len(ops.A0))) @ (ops.P.T / 2 @ (ops.A @ e)))
 
 
 def test_method_params_validation():
@@ -184,7 +186,7 @@ def test_error_operator_alpha_zero_is_coarse_correction():
     params = MethodParams(0.0, 2.0, 0.4)
     ops = build_two_level(cfg, params)
     E = error_matrix(ops)
-    expected = np.eye(16) - ops.P @ ops.A0inv @ (ops.P.T / 2) @ ops.A
+    expected = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (ops.P.T / 2) @ ops.A
     np.testing.assert_allclose(E, expected, atol=1e-13 * np.abs(expected).max())
 
 
@@ -193,7 +195,7 @@ def test_coarse_correction_annihilates_coarse_space():
     cfg = DiscretizationConfig(8, 1.6, DIR)
     params = MethodParams(0.9, 1.6, 0.7)
     ops = build_two_level(cfg, params)
-    C = np.eye(16) - ops.P @ ops.A0inv @ (ops.P.T / 2) @ ops.A
+    C = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (ops.P.T / 2) @ ops.A
     assert np.abs(C @ ops.P).max() < 1e-12
 
 
@@ -250,7 +252,7 @@ def assert_matches_dense(ops, dense):
     assert np.array_equal(ops.A, dense.A)
     assert np.array_equal(ops.P, dense.P)
     assert relative_error(ops.A0, dense.A0) < 1e-12
-    assert relative_error(ops.A0inv, dense.A0inv) < 1e-12
+    assert relative_error(ops.coarse_solve(np.eye(len(ops.A0))), dense.A0inv) < 1e-12
 
 
 @pytest.mark.parametrize("bc", [DIR, PER])
@@ -297,3 +299,37 @@ def test_dirichlet_coarse_inverse_pivots(monkeypatch):
     with pytest.raises(SingularCoarseError):
         build_two_level(cfg, params)
     assert shapes == [(2, 2)] * 3
+
+
+def test_dirichlet_coarse_solve_backward_error(clustering_triple):
+    # the block LDL^T solve at the default size cap, for a matrix and a
+    # vector: ||K X - Y|| / (||K|| ||X||) in the infinity norm
+    cfg = DiscretizationConfig(2048, clustering_triple.penalty, DIR)
+    ops = build_two_level(cfg, clustering_triple)
+    K = ops.A0
+    Y = np.random.default_rng(7).standard_normal((len(K), 3))
+    for y in (Y, Y[:, 0]):
+        X = ops.coarse_solve(y)
+        assert X.shape == y.shape
+        norm = lambda M: np.linalg.norm(M, np.inf)
+        assert norm(K @ X - y) / (norm(K) * norm(X)) < 1e-13
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clustering_triple):
+    # build_two_level holds A, P and A0 and nothing else of their size; the
+    # dense M^{-1} needs one n x n and one m x n array at a time
+    cfg = DiscretizationConfig(512, clustering_triple.penalty, DIR)
+    ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
+    assert peak <= ops.A.nbytes + ops.P.nbytes + ops.A0.nbytes + 2**20
+    Minv, peak = traced_peak(preconditioner_matrix, ops)
+    assert peak <= Minv.nbytes + ops.P.T.nbytes + 2**20
