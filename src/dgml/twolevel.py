@@ -28,17 +28,18 @@ periodic corners), scattered from the stencil triplets by coarse cell, the
 coarse operator is A0 = K in 1D and, since P2 = P1 (x) P1 and
 A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with M = P1^T P1 / 2 in
 2D (the restriction scale cancels).  The 1D Dirichlet K is factored once by
-block LDL^T, so a coarse solve costs O(m) per column; 2D Dirichlet uses a
-dense inverse.  For periodic problems A0 is singular with the constant
-vector as kernel; coarse solves then act on the orthogonal complement
-(pseudo-inverse).
+block LDL^T, so a coarse solve costs O(m) per column.  Every other coarse
+solve is a fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+1964) from one eigendecomposition of the m x m pair (K, M), M = I in 1D,
+in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0 is singular
+with the constant vector as kernel; the solve drops the constant
+eigenvector, which gives the pseudo-inverse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -165,7 +166,9 @@ class TwoLevelOperators:
     read them.  The restriction is not stored: it is P^T / 2^dim.  A0 is the
     dense coarse operator, computed from the 1D factors as the module
     docstring describes, and coarse_solve maps Y to A0^{-1} Y (the
-    pseudo-inverse when periodic) for a vector or a matrix Y.
+    pseudo-inverse when periodic) for a vector or a matrix Y.  It holds
+    only m x m arrays (the 1D LDL^T factors or the eigenvectors of the pair
+    (K, M)), never a dense inverse of the 2D A0.
     """
 
     config: DiscretizationConfig
@@ -220,6 +223,40 @@ def _block_tridiagonal_solver(T: np.ndarray) -> Callable[[np.ndarray], np.ndarra
     return solve
 
 
+def _fast_diagonal_solver(K: np.ndarray, M_block: np.ndarray, dim: int, periodic: bool):
+    """Y -> A0^{-1} Y for A0 = K (x) M + M (x) K in 2D and A0 = K in 1D
+    (M_block = I), M the tiling of the 2x2 SPD M_block, by fast diagonalization.
+
+    V = M^{-1/2} W, with eig(M^{-1/2} K M^{-1/2}) = W diag(mu) W^T, gives
+    V^T K V = diag(mu) and V^T M V = I, so A0^{-1} = (V (x) V) diag(1/(mu_i +
+    mu_j)) (V (x) V)^T (V diag(1/mu) V^T in 1D), applied one axis at a time.
+    Periodic: M 1 = 1, so all eigenvectors but the constant one (mu_0) are
+    orthogonal to the constants and dropping it gives the pseudo-inverse.  A
+    kept eigenvalue at or below 1e-10 times the largest raises
+    SingularCoarseError.
+    """
+    w, U = np.linalg.eigh(M_block)
+    root = U / np.sqrt(w) @ U.T  # M^{-1/2} is its tiling, applied by 2x2 blocks
+    mu, W = np.linalg.eigh(_prolongate(root, _prolongate(root, K.T).T))
+    V, m = _prolongate(root, W), len(K)
+    eigs = mu if dim == 1 else np.add.outer(mu, mu)
+    kept = eigs.ravel()[int(periodic):]
+    if not kept.min() > 1e-10 * eigs.max():
+        raise SingularCoarseError(f"coarse eigenvalue {kept.min():.3e}, largest {eigs.max():.3e}")
+    inverse = np.zeros_like(eigs)
+    inverse.flat[int(periodic):] = 1.0 / kept
+
+    def each_axis(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+        X = (B @ X.reshape(m, -1)).reshape(X.shape)
+        return B @ X if dim == 2 else X  # the 2D second axis, batched over the first
+
+    def solve(Y: np.ndarray) -> np.ndarray:
+        X = each_axis(V.T, Y.reshape(*eigs.shape, -1)) * inverse[..., None]
+        return each_axis(V, X).reshape(Y.shape)
+
+    return solve
+
+
 def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLevelOperators:
     """Assemble system, smoother, transfers and coarse operator in one go.
 
@@ -236,18 +273,19 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     X, targets = _stencil_times_prolongation(config.with_dim(1), block)
     K = _block_matrix(X.swapaxes(2, 3) / 2 @ block, targets)
     if config.dim == 1:
-        A0 = K
-    else:
-        M = _block_diagonal(block.T @ block / 2, len(K) // 2)  # P1^T P1 / 2
-        A0 = np.kron(K, M) + np.kron(M, K)
-    if config.bc is BoundaryCondition.PERIODIC:
-        coarse_solve = partial(np.matmul, np.linalg.pinv(A0, rcond=1e-10, hermitian=True))
+        # A0 = K alone: the pair (K, I) keeps the eigenvectors orthonormal,
+        # so the 1D pseudo-inverse rounds as the dense one does
+        A0, M_block = K, np.eye(2)
+    else:  # M = P1^T P1 / 2 tiles M_block; K (x) M + M (x) K is summed in place
+        # on M's 2x2 blocks, so no second m^2 x m^2 array is held
+        M_block, m = block.T @ block / 2, len(K)
+        A0, k = np.kron(K, _block_diagonal(M_block, m // 2)), np.arange(m // 2)
+        A0.reshape(m // 2, 2, m, m // 2, 2, m)[k, :, :, k] += np.multiply.outer(M_block, K).transpose(0, 2, 1, 3)
+    if config.dim == 2 or config.bc is BoundaryCondition.PERIODIC:
+        coarse_solve = _fast_diagonal_solver(K, M_block, config.dim, config.bc is BoundaryCondition.PERIODIC)
     else:
         try:
-            if config.dim == 1:
-                coarse_solve = _block_tridiagonal_solver(A0)
-            else:
-                coarse_solve = partial(np.matmul, np.linalg.inv(A0))
+            coarse_solve = _block_tridiagonal_solver(A0)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     return TwoLevelOperators(config, params, A, s, P, A0, coarse_solve)
@@ -275,14 +313,18 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
     then the coarse correction of its residual.  Equals
-    preconditioner_matrix(ops) @ g without forming the n x n matrix; in 1D
-    P and P^T act by their 4x2 blocks."""
+    preconditioner_matrix(ops) @ g without forming the n x n matrix; P and
+    P^T act by their 4x2 blocks, in 2D on each axis of the (2J, 2J) grid."""
     x = ops.params.alpha * ops.smoother_scale * g
     r = g - ops.A @ x
-    if ops.config.dim == 2:
-        return x + ops.P @ ops.coarse_solve(ops.P.T @ r / 4)
-    block = _prolongation_block(ops.params.discontinuity)
-    return x + _prolongate(block, ops.coarse_solve(_times_prolongation(r.T, block).T / 2))
+    block, dim = _prolongation_block(ops.params.discontinuity), ops.config.dim
+    C = r.reshape(*(2 * ops.config.cells_per_dim,) * dim, *r.shape[1:])
+    for _ in range(dim):  # P^T = P1^T (x) P1^T, axis 0 each time round
+        C = _times_prolongation(C.T, block).T.swapaxes(0, dim - 1)
+    Y = ops.coarse_solve(C.reshape(-1, *r.shape[1:]) / 2**dim).reshape(C.shape)
+    for _ in range(dim):
+        Y = _prolongate(block, Y).swapaxes(0, dim - 1)
+    return x + Y.reshape(g.shape)
 
 
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:

@@ -169,6 +169,22 @@ def test_apply_preconditioner_matches_dense_formula(bc):
     np.testing.assert_allclose(y, Minv @ g, atol=1e-12 * np.abs(Minv @ g).max())
 
 
+@pytest.mark.parametrize("bc", [DIR, PER])
+@pytest.mark.parametrize("J", [2, 4, 8, 16])
+def test_apply_preconditioner_2d_matches_dense_formula(bc, J):
+    # P = P1 (x) P1 and P^T act axis by axis; against the dense products
+    # alpha*s*g + P A0inv (P^T/4)(g - alpha*s*A g), for a vector and a matrix
+    cfg, params = DiscretizationConfig(J, 1.9, bc, 2), MethodParams(0.77, 1.9, 0.33)
+    ops, dense = build_two_level(cfg, params), dense_two_level(cfg, params)
+    a_s = params.alpha * smoother_scale(cfg, params)
+    G = np.random.default_rng(J).standard_normal((cfg.ndof, 2))
+    for g in (G, G[:, 0]):
+        expected = a_s * g + dense.P @ (dense.A0inv @ (dense.P.T / 4 @ (g - a_s * dense.A @ g)))
+        y = apply_preconditioner(ops, g)
+        assert y.shape == g.shape
+        assert relative_error(y, expected) < 1e-12
+
+
 def test_preconditioned_spectrum_real_positive_clustered(clustering_triple):
     cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR)
     ops = build_two_level(cfg, clustering_triple)
@@ -301,6 +317,10 @@ def test_dirichlet_coarse_inverse_pivots(monkeypatch):
     assert shapes == [(2, 2)] * 3
 
 
+def infinity_norm(M):
+    return np.linalg.norm(M, np.inf)
+
+
 def test_dirichlet_coarse_solve_backward_error(clustering_triple):
     # the block LDL^T solve at the default size cap, for a matrix and a
     # vector: ||K X - Y|| / (||K|| ||X||) in the infinity norm
@@ -311,8 +331,71 @@ def test_dirichlet_coarse_solve_backward_error(clustering_triple):
     for y in (Y, Y[:, 0]):
         X = ops.coarse_solve(y)
         assert X.shape == y.shape
-        norm = lambda M: np.linalg.norm(M, np.inf)
-        assert norm(K @ X - y) / (norm(K) * norm(X)) < 1e-13
+        assert infinity_norm(K @ X - y) / (infinity_norm(K) * infinity_norm(X)) < 1e-13
+
+
+@pytest.mark.parametrize("bc", [DIR, PER])
+def test_2d_coarse_solve_backward_error(bc, clustering_triple):
+    # the fast-diagonalization solve at J=32, the 2D size cap, for a matrix
+    # and a vector; periodic right-hand sides are projected off the constants
+    cfg = DiscretizationConfig(32, clustering_triple.penalty, bc, 2)
+    ops = build_two_level(cfg, clustering_triple)
+    A0, ones = ops.A0, np.ones(len(ops.A0))
+    Y = np.random.default_rng(7).standard_normal((len(A0), 3))
+    if bc is PER:
+        Y -= Y.mean(axis=0)
+    for y in (Y, Y[:, 0]):
+        X = ops.coarse_solve(y)
+        assert X.shape == y.shape
+        assert infinity_norm(A0 @ X - y) / (infinity_norm(A0) * infinity_norm(X)) < 1e-13
+    if bc is PER:
+        # the pseudo-inverse annihilates the kernel and maps into its
+        # complement, to rounding: ||X|| / ||Y|| bounds ||A0^+|| from below
+        X = ops.coarse_solve(Y)
+        assert infinity_norm(ops.coarse_solve(ones)) <= 1e-12 * infinity_norm(X) / infinity_norm(Y)
+        assert np.all(np.abs(ones @ X) <= 1e-12 * np.abs(X).sum(axis=0))
+
+
+@pytest.mark.parametrize(
+    "dim, bc, zeroed",  # zeroed eigenvalues of the pair (K, M): one more than the kernel
+    [(2, DIR, 1), (2, PER, 2), (1, PER, 2)],
+)
+def test_fast_diagonal_coarse_solve_singular(monkeypatch, dim, bc, zeroed):
+    eigh = np.linalg.eigh
+
+    def eigh_with_zeros(a):
+        w, V = eigh(a)
+        if len(a) > 2:  # leave the 2x2 mass block alone
+            w[:zeroed] = 0.0
+        return w, V
+
+    cfg, params = DiscretizationConfig(8, 2.0, bc, dim), MethodParams(0.9, 2.0, 0.5)
+    build_two_level(cfg, params)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_zeros)
+    with pytest.raises(SingularCoarseError):
+        build_two_level(cfg, params)
+
+
+def test_fast_diagonal_setups_invert_nothing_dense(monkeypatch):
+    # 2D set-ups and 1D periodic ones call inv and pinv on nothing larger than 2x2
+    shapes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "pinv", recording(np.linalg.pinv))
+    params = MethodParams(0.9, 2.0, 0.5)
+    for cfg in (
+        DiscretizationConfig(16, 2.0, DIR, 2),
+        DiscretizationConfig(16, 2.0, PER, 2),
+        DiscretizationConfig(64, 2.0, PER),
+    ):
+        build_two_level(cfg, params)
+    assert all(max(shape) <= 2 for shape in shapes)
 
 
 def traced_peak(fn, *args):
@@ -333,3 +416,11 @@ def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clust
     assert peak <= ops.A.nbytes + ops.P.nbytes + ops.A0.nbytes + 2**20
     Minv, peak = traced_peak(preconditioner_matrix, ops)
     assert peak <= Minv.nbytes + ops.P.T.nbytes + 2**20
+
+
+def test_2d_dirichlet_setup_allocates_no_extra_dense_arrays(clustering_triple):
+    # at the 2D size cap build_two_level holds A, P and A0 and nothing else
+    # of their size: no dense coarse inverse, no Kronecker temporaries
+    cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR, 2)
+    ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
+    assert peak <= ops.A.nbytes + ops.P.nbytes + ops.A0.nbytes + 2 * 2**20
