@@ -64,7 +64,7 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     their smallest sorted index through min-label propagation with pointer
     jumping.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     eigs = np.asarray(eigs, dtype=complex)
     n = eigs.size

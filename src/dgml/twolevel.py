@@ -27,12 +27,13 @@ K = P1^T A1 P1 / 2 (banded: block tridiagonal with 2x2 blocks, plus the
 periodic corners), scattered from the stencil triplets by coarse cell, the
 coarse operator is A0 = K in 1D and, since P2 = P1 (x) P1 and
 A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with M = P1^T P1 / 2 in
-2D (the restriction scale cancels).  The 1D Dirichlet K is factored once by
-block LDL^T, so a coarse solve costs O(m) per column.  Every other coarse
-solve is a fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964) from one eigendecomposition of the m x m pair (K, M), M = I in 1D,
-in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0 is singular
-with the constant vector as kernel; the solve drops the constant
+2D (the restriction scale cancels).  A0 is never stored: it lives only in
+the coarse solve.  The 1D Dirichlet K is factored once by block LDL^T from
+its 2x2 blocks, so a coarse solve costs O(m) per column.  Every other
+coarse solve is a fast diagonalization (Lynch, Rice & Thomas, Numer.
+Math. 6, 1964) from one eigendecomposition of the m x m pair (K, M), M = I
+in 1D, in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0 is
+singular with the constant vector as kernel; the solve drops the constant
 eigenvector, which gives the pseudo-inverse.
 """
 
@@ -163,12 +164,11 @@ class TwoLevelOperators:
 
     A and P are the dense fine-grid operators; they stay dense because the
     benchmark and the dense oracles (error_matrix, preconditioner_matrix)
-    read them.  The restriction is not stored: it is P^T / 2^dim.  A0 is the
-    dense coarse operator, computed from the 1D factors as the module
-    docstring describes, and coarse_solve maps Y to A0^{-1} Y (the
-    pseudo-inverse when periodic) for a vector or a matrix Y.  It holds
-    only m x m arrays (the 1D LDL^T factors or the eigenvectors of the pair
-    (K, M)), never a dense inverse of the 2D A0.
+    read them.  The restriction is not stored: it is P^T / 2^dim.  Nor is
+    the coarse operator A0 = R A P: coarse_solve maps Y to A0^{-1} Y (the
+    pseudo-inverse when periodic) for a vector or a matrix Y and holds at
+    most m x m arrays (the 1D LDL^T factors or the eigenvectors of the pair
+    (K, M)), never A0 or a dense inverse of it.
     """
 
     config: DiscretizationConfig
@@ -176,7 +176,6 @@ class TwoLevelOperators:
     A: np.ndarray
     smoother_scale: float
     P: np.ndarray
-    A0: np.ndarray
     coarse_solve: Callable[[np.ndarray], np.ndarray]
 
 
@@ -193,8 +192,10 @@ def _sweep(blocks: np.ndarray, X: np.ndarray) -> None:
     X[...] = np.reshape(x, X.shape)
 
 
-def _block_tridiagonal_solver(T: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Y -> T^{-1} Y for a symmetric block-tridiagonal T with 2x2 blocks.
+def _block_tridiagonal_solver(blocks: np.ndarray, targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Y -> T^{-1} Y for a symmetric block-tridiagonal T with 2x2 blocks,
+    given as in _block_matrix: blocks[k, t] at block row targets[k, t] and
+    block column k.
 
     T is factored once by block LDL^T without pivoting (T is SPD here): the
     pivots are S_0 = D_0 and S_k = D_k - L_{k-1} S_{k-1}^{-1} L_{k-1}^T, with
@@ -203,11 +204,11 @@ def _block_tridiagonal_solver(T: np.ndarray) -> Callable[[np.ndarray], np.ndarra
     X_k = U_k - S_k^{-1} L_k^T X_{k+1}, O(m) per column for m rows.  A
     singular pivot block raises LinAlgError.
     """
-    cells = T.shape[0] // 2
-    k = np.arange(cells)
+    cells = len(blocks)
+    k = np.arange(cells)[:, None]
     # sub[k] = L_k (the last one wraps round and is never used); up[-1] is
     # still zero at j = 0, so the first pivot is D_0
-    diag, sub = T.reshape(cells, 2, cells, 2)[[k, (k + 1) % cells], :, k]
+    diag, sub = blocks[targets == k], blocks[targets == (k + 1) % cells]
     pivots_inv, up = np.empty((cells, 2, 2)), np.zeros((cells, 2, 2))  # up[k] = S_k^{-1} L_k^T
     for j in range(cells):
         pivots_inv[j] = np.linalg.inv(diag[j] - sub[j - 1] @ up[j - 1])
@@ -258,37 +259,33 @@ def _fast_diagonal_solver(K: np.ndarray, M_block: np.ndarray, dim: int, periodic
 
 
 def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLevelOperators:
-    """Assemble system, smoother, transfers and coarse operator in one go.
+    """Assemble system, smoother, transfers and coarse solve in one go.
 
     R = P^T / 2^dim: in 2D the transfers are Kronecker products of the 1D
     ones, hence R = P^T / 4 there; the preconditioner is invariant to this
-    scaling because A0 is built from the same R and P.  A singular coarse
-    operator outside the periodic kernel raises SingularCoarseError.
+    scaling because A0 = R A P is built from the same R and P.  A singular
+    coarse operator outside the periodic kernel raises SingularCoarseError.
     """
     s = smoother_scale(config, params)
     A = assemble(config)
     P = prolongation_matrix(config, params.discontinuity)
     block = _prolongation_block(params.discontinuity)
-    # K = (R1 A1) P1 with R1 A1 = (A1 P1)^T / 2, associated as the dense R A P
+    # K = (R1 A1) P1 with R1 A1 = (A1 P1)^T / 2, associated as the dense R A P,
+    # by its 2x2 blocks at block row targets[k, t] and block column k
     X, targets = _stencil_times_prolongation(config.with_dim(1), block)
-    K = _block_matrix(X.swapaxes(2, 3) / 2 @ block, targets)
-    if config.dim == 1:
-        # A0 = K alone: the pair (K, I) keeps the eigenvectors orthonormal,
-        # so the 1D pseudo-inverse rounds as the dense one does
-        A0, M_block = K, np.eye(2)
-    else:  # M = P1^T P1 / 2 tiles M_block; K (x) M + M (x) K is summed in place
-        # on M's 2x2 blocks, so no second m^2 x m^2 array is held
-        M_block, m = block.T @ block / 2, len(K)
-        A0, k = np.kron(K, _block_diagonal(M_block, m // 2)), np.arange(m // 2)
-        A0.reshape(m // 2, 2, m, m // 2, 2, m)[k, :, :, k] += np.multiply.outer(M_block, K).transpose(0, 2, 1, 3)
-    if config.dim == 2 or config.bc is BoundaryCondition.PERIODIC:
-        coarse_solve = _fast_diagonal_solver(K, M_block, config.dim, config.bc is BoundaryCondition.PERIODIC)
-    else:
+    blocks = X.swapaxes(2, 3) / 2 @ block
+    periodic = config.bc is BoundaryCondition.PERIODIC
+    if config.dim == 1 and not periodic:
         try:
-            coarse_solve = _block_tridiagonal_solver(A0)
+            coarse_solve = _block_tridiagonal_solver(blocks, targets)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
-    return TwoLevelOperators(config, params, A, s, P, A0, coarse_solve)
+    else:
+        # 1D: the pair (K, I) keeps the eigenvectors orthonormal, so the 1D
+        # pseudo-inverse rounds as the dense one does; 2D: M = P1^T P1 / 2
+        M_block = np.eye(2) if config.dim == 1 else block.T @ block / 2
+        coarse_solve = _fast_diagonal_solver(_block_matrix(blocks, targets), M_block, config.dim, periodic)
+    return TwoLevelOperators(config, params, A, s, P, coarse_solve)
 
 
 def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
@@ -329,9 +326,6 @@ def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
 
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
-    two-level setup."""
-    n, m = ops.P.shape
-    # A0^{-1} = coarse_solve(I) keeps the dense oracles' association P A0^{-1} R,
-    # so periodic spectra round exactly as theirs do
-    coarse = np.eye(n) - ops.P @ ops.coarse_solve(np.eye(m)) @ (ops.P.T / 2**ops.config.dim) @ ops.A
-    return coarse @ (np.eye(n) - ops.params.alpha * ops.smoother_scale * ops.A)
+    two-level setup, as I - M^{-1} A with M^{-1} applied to the columns of
+    A; the algebra holds for the periodic pseudo-inverse too."""
+    return np.eye(len(ops.A)) - apply_preconditioner(ops, ops.A)

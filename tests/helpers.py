@@ -6,8 +6,10 @@ projected blocks against the symbol module is a genuine two-route check.
 deflate_constant gives the dense periodic spectrum with the constant mode
 deflated, the oracle of the symbol-based periodic spectra.  sipg_1d_loop,
 prolongation_loop and dense_two_level build the two-level set-up entry by
-entry and product by product, the oracle of the structured build_two_level
-and preconditioner_matrix.
+entry and product by product, the oracle of the structured build_two_level,
+preconditioner_matrix and error_matrix.  coarse_operator builds the
+Galerkin coarse operator R A P, which build_two_level does not store, from
+the same loops at every size the set-up accepts.
 """
 
 from types import SimpleNamespace
@@ -100,3 +102,21 @@ def dense_two_level(config, params):
         Minv = P @ A0inv @ R @ (np.eye(n) - a_s * A)
         Minv[np.diag_indices(n)] += a_s
     return SimpleNamespace(A=A, P=P, A0=A0, A0inv=A0inv, Minv=Minv)
+
+
+def coarse_operator(config, params):
+    """R A P from sipg_1d_loop and prolongation_loop: K = P1^T A1 P1 / 2 in
+    1D and, with M = P1^T P1 / 2, K (x) M + M (x) K in 2D.  P1 acts by its
+    4x2 blocks through reshapes, as a dense P^T (A P) is slow at J = 2048."""
+    J = config.cells_per_dim
+    block = prolongation_loop(2, params.discontinuity)
+
+    def galerkin(A):  # P1^T A P1 / 2
+        AP = (A.reshape(2 * J, J // 2, 4) @ block).reshape(2 * J, J)
+        return (block.T @ AP.reshape(J // 2, 4, J)).reshape(J, J) / 2
+
+    K = galerkin(sipg_1d_loop(J, config.penalty, config.bc))
+    if config.dim == 1:
+        return K
+    M = galerkin(np.eye(2 * J))
+    return np.kron(K, M) + np.kron(M, K)

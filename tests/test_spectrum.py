@@ -108,6 +108,13 @@ def test_cluster_tol_validation():
         spectrum.cluster_eigenvalues(np.array([1.0]), 0.0)
 
 
+def test_analyze_rejects_nan_tol():
+    # NaN fails every comparison, so a "tol <= 0" guard would let it through
+    # and put each eigenvalue in a cluster of its own
+    with pytest.raises(ValueError, match="positive"):
+        spectrum.analyze(np.array([0.1, 0.1 + 1e-9, 0.5]), tol=np.nan)
+
+
 def _reference_clusters(eigs, tol):
     """Union-find over the full pairwise distance matrix: the quadratic
     loop formulation that cluster_eigenvalues vectorizes."""
@@ -174,6 +181,21 @@ def test_dirichlet_clustering_spectrum(clustering_triple):
     extras = [cl for cl in report.clusters if cl.count < 14]
     assert 1 <= len(extras) <= 6
     assert abs(report.spectral_radius - 0.19732) < 1e-4
+
+
+def test_2d_dirichlet_largest_modes_sit_in_edge_cells(clustering_triple):
+    # the four largest moduli (about 0.67004) each carry at least 90% of
+    # their squared eigenvector mass in the edge cells (cell index 0 or J-1
+    # on either axis), which hold 60 of the 256 cells; measured 93.5%
+    J = 16
+    ops = build_two_level(DiscretizationConfig(J, clustering_triple.penalty, DIR, 2), clustering_triple)
+    eigs, vectors = np.linalg.eig(error_matrix(ops))
+    top = np.argsort(-np.abs(eigs))[:4]
+    np.testing.assert_allclose(np.abs(eigs[top]), 0.67004, atol=1e-4)
+    edge_1d = np.isin(np.arange(2 * J) // 2, [0, J - 1])  # 2 dofs per cell, cell-major
+    edge = (edge_1d[:, None] | edge_1d[None, :]).ravel()  # x-major 2D dofs
+    mass = np.abs(vectors[:, top]) ** 2
+    assert np.all(mass[edge].sum(axis=0) >= 0.9 * mass.sum(axis=0))
 
 
 def test_refinement_preserves_cluster_centers(clustering_triple):

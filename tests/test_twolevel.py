@@ -23,7 +23,7 @@ from dgml.twolevel import (
     smoother_scale,
 )
 from dgml import lfa
-from helpers import deflate_constant, dense_two_level
+from helpers import coarse_operator, deflate_constant, dense_two_level
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -32,7 +32,7 @@ DIR = BoundaryCondition.DIRICHLET
 def propagate_error(ops, e):
     """Matrix-free error propagation: smoothing, then coarse correction."""
     e = e - ops.params.alpha * ops.smoother_scale * (ops.A @ e)
-    return e - ops.P @ (ops.coarse_solve(np.eye(len(ops.A0))) @ (ops.P.T / 2 @ (ops.A @ e)))
+    return e - ops.P @ (ops.coarse_solve(np.eye(ops.P.shape[1])) @ (ops.P.T / 2 @ (ops.A @ e)))
 
 
 def test_method_params_validation():
@@ -129,21 +129,24 @@ def test_restriction_preserves_constants():
 
 
 def test_coarse_operator_periodic_kernel():
-    A0 = build_two_level(DiscretizationConfig(4, 2.0, PER), MethodParams(0.9, 2.0, 0.5)).A0
-    np.testing.assert_allclose(A0 @ np.ones(4), 0.0, atol=1e-11)
+    # the pseudo-inverse annihilates the constant kernel of A0
+    ops = build_two_level(DiscretizationConfig(4, 2.0, PER), MethodParams(0.9, 2.0, 0.5))
+    np.testing.assert_allclose(ops.coarse_solve(np.ones(4)), 0.0, atol=1e-11)
 
 
 def test_coarse_operator_symmetric():
-    A0 = build_two_level(DiscretizationConfig(8, 1.4, DIR), MethodParams(0.9, 1.4, 0.27)).A0
-    assert np.abs(A0 - A0.T).max() <= 1e-12 * np.abs(A0).max()
+    # A0 is symmetric, so its inverse, as coarse_solve applies it, is too
+    ops = build_two_level(DiscretizationConfig(8, 1.4, DIR), MethodParams(0.9, 1.4, 0.27))
+    A0inv = ops.coarse_solve(np.eye(8))
+    assert np.abs(A0inv - A0inv.T).max() <= 1e-12 * np.abs(A0inv).max()
 
 
 def test_coarse_operator_eigenvalues_match_symbols():
     # dense coarse spectrum equals the union of the spectra of the Galerkin
     # products P^T A P / 2 of the system symbols and the prolongation block
     J, delta0, c = 8, 2.0, 0.5
-    A0 = build_two_level(DiscretizationConfig(J, delta0, PER), MethodParams(0.9, delta0, c)).A0
-    dense = np.linalg.eigvals(A0)
+    cfg, params = DiscretizationConfig(J, delta0, PER), MethodParams(0.9, delta0, c)
+    dense = np.linalg.eigvals(coarse_operator(cfg, params))
     P = _prolongation_block(c)
     blocks = P.T @ lfa.symbol_system(np.arange(J // 2), J, delta0) @ P / 2
     assert lfa.multiset_deviation(dense, np.linalg.eigvals(blocks).ravel()) < 1e-9
@@ -267,8 +270,14 @@ def relative_error(x, ref):
 def assert_matches_dense(ops, dense):
     assert np.array_equal(ops.A, dense.A)
     assert np.array_equal(ops.P, dense.P)
-    assert relative_error(ops.A0, dense.A0) < 1e-12
-    assert relative_error(ops.coarse_solve(np.eye(len(ops.A0))), dense.A0inv) < 1e-12
+    # the block-reshaped R A P that the backward-error tests read
+    assert relative_error(coarse_operator(ops.config, ops.params), dense.A0) < 1e-12
+    assert relative_error(ops.coarse_solve(np.eye(ops.P.shape[1])), dense.A0inv) < 1e-12
+    if ops.config.ndof <= 512:  # every 1D size; 2D J = 16 would add about 2 s
+        # E = (I - P A0inv R A)(I - alpha s A), with the products reassociated
+        S = np.eye(len(dense.A)) - ops.params.alpha * ops.smoother_scale * dense.A
+        E = S - dense.P @ dense.A0inv @ (dense.P.T / 2**ops.config.dim @ dense.A @ S)
+        assert relative_error(error_matrix(ops), E) < 1e-12
 
 
 @pytest.mark.parametrize("bc", [DIR, PER])
@@ -325,8 +334,7 @@ def test_dirichlet_coarse_solve_backward_error(clustering_triple):
     # the block LDL^T solve at the default size cap, for a matrix and a
     # vector: ||K X - Y|| / (||K|| ||X||) in the infinity norm
     cfg = DiscretizationConfig(2048, clustering_triple.penalty, DIR)
-    ops = build_two_level(cfg, clustering_triple)
-    K = ops.A0
+    ops, K = build_two_level(cfg, clustering_triple), coarse_operator(cfg, clustering_triple)
     Y = np.random.default_rng(7).standard_normal((len(K), 3))
     for y in (Y, Y[:, 0]):
         X = ops.coarse_solve(y)
@@ -339,8 +347,8 @@ def test_2d_coarse_solve_backward_error(bc, clustering_triple):
     # the fast-diagonalization solve at J=32, the 2D size cap, for a matrix
     # and a vector; periodic right-hand sides are projected off the constants
     cfg = DiscretizationConfig(32, clustering_triple.penalty, bc, 2)
-    ops = build_two_level(cfg, clustering_triple)
-    A0, ones = ops.A0, np.ones(len(ops.A0))
+    ops, A0 = build_two_level(cfg, clustering_triple), coarse_operator(cfg, clustering_triple)
+    ones = np.ones(len(A0))
     Y = np.random.default_rng(7).standard_normal((len(A0), 3))
     if bc is PER:
         Y -= Y.mean(axis=0)
@@ -409,18 +417,20 @@ def traced_peak(fn, *args):
 
 
 def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clustering_triple):
-    # build_two_level holds A, P and A0 and nothing else of their size; the
-    # dense M^{-1} needs one n x n and one m x n array at a time
+    # build_two_level holds A and P and nothing else of their size, no
+    # coarse operator either; the dense M^{-1} needs one n x n and one
+    # m x n array at a time
     cfg = DiscretizationConfig(512, clustering_triple.penalty, DIR)
     ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
-    assert peak <= ops.A.nbytes + ops.P.nbytes + ops.A0.nbytes + 2**20
+    assert peak <= ops.A.nbytes + ops.P.nbytes + 2**20
     Minv, peak = traced_peak(preconditioner_matrix, ops)
     assert peak <= Minv.nbytes + ops.P.T.nbytes + 2**20
 
 
 def test_2d_dirichlet_setup_allocates_no_extra_dense_arrays(clustering_triple):
-    # at the 2D size cap build_two_level holds A, P and A0 and nothing else
-    # of their size: no dense coarse inverse, no Kronecker temporaries
+    # at the 2D size cap build_two_level holds A and P and nothing else of
+    # their size: no coarse operator, no dense coarse inverse, no Kronecker
+    # temporaries
     cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR, 2)
     ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
-    assert peak <= ops.A.nbytes + ops.P.nbytes + ops.A0.nbytes + 2 * 2**20
+    assert peak <= ops.A.nbytes + ops.P.nbytes + 2 * 2**20
