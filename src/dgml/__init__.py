@@ -9,6 +9,7 @@ from .discretization import (
     ConfigError,
     DiscretizationConfig,
     SizeCapError,
+    SystemOperator,
     assemble,
     assemble_1d,
     assemble_2d,
@@ -17,6 +18,7 @@ from .discretization import (
 )
 from .twolevel import (
     MethodParams,
+    Prolongation,
     SingularCoarseError,
     TwoLevelOperators,
     apply_preconditioner,

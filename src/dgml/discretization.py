@@ -118,22 +118,19 @@ def _couplings(n: int, delta0: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, vals
 
 
-def _stencil_1d(config: DiscretizationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 1D system matrix as (rows, cols, values) triplets, the boundary
-    closure applied and the values scaled by 1/h^2; repeated (row, col)
-    pairs add (at n=4 the wrapped +-2 couplings meet)."""
+def _stencil_1d(config: DiscretizationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The 1D system matrix in ELL form, (cols, weights) of shape (n, 4):
+    row i is the sum over t of weights[i, t] * x[cols[i, t]], slot 0 the
+    diagonal, the weights scaled by 1/h^2.  Columns wrap (repeated ones add:
+    at n=4 the +-2 couplings meet); the Dirichlet closure gives the couplings
+    to ghost traces weight 0 and doubles the two corner diagonals."""
     n = 2 * config.cells_per_dim
-    delta0 = config.penalty
-    rows, cols, vals = _couplings(n, delta0)
-    if config.bc is BoundaryCondition.PERIODIC:
-        cols %= n
-    else:  # drop the couplings to ghost traces outside the interval
-        inside = (cols >= 0) & (cols < n)
-        # the boundary-face penalty doubles the two corner entries
-        rows = np.append(rows[inside], [0, n - 1])
-        cols = np.append(cols[inside], [0, n - 1])
-        vals = np.append(vals[inside], [delta0, delta0])
-    return rows, cols, vals * float(config.cells_per_dim) ** 2
+    _, cols, vals = _couplings(n, config.penalty)  # stacked by slot, so no sort
+    if config.bc is BoundaryCondition.DIRICHLET:
+        vals[(cols < 0) | (cols >= n)] = 0.0
+        vals[[0, n - 1]] += config.penalty  # the boundary-face penalty
+    vals *= float(config.cells_per_dim) ** 2
+    return (cols % n).reshape(4, n).T, vals.reshape(4, n).T
 
 
 def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
@@ -142,9 +139,9 @@ def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
         raise ConfigError("assemble_1d requires dim=1")
     n = 2 * config.cells_per_dim
     check_dense_cap(n)
-    rows, cols, vals = _stencil_1d(config)
+    cols, vals = _stencil_1d(config)
     A = np.zeros((n, n))
-    np.add.at(A, (rows, cols), vals)
+    np.add.at(A, (np.arange(n)[:, None], cols), vals)
     return A
 
 
@@ -165,6 +162,30 @@ def assemble_2d(config: DiscretizationConfig) -> np.ndarray:
 def assemble(config: DiscretizationConfig) -> np.ndarray:
     """Assemble the system matrix for either spatial dimension."""
     return assemble_1d(config) if config.dim == 1 else assemble_2d(config)
+
+
+class SystemOperator:
+    """The system matrix of a configuration, held as the 1D stencil in ELL
+    form (see _stencil_1d).  A @ X applies A1 along each grid axis of X, a
+    vector or a stack of columns, in O(X.size): A1 in 1D, the Kronecker sum
+    A1 (x) I + I (x) A1 in 2D.  np.asarray(A) is assemble's dense matrix,
+    under the dense cap."""
+
+    def __init__(self, config: DiscretizationConfig):
+        self.config, self.shape = config, (config.ndof, config.ndof)
+        self.cols, self.weights = _stencil_1d(config)
+
+    def __matmul__(self, X) -> np.ndarray:
+        X = np.asarray(X)
+        n = len(self.cols)
+        G = X.reshape(*(n,) * self.config.dim, *X.shape[1:])  # the grid axes first
+        Y = np.einsum("ij,ij...->i...", self.weights, G[self.cols])
+        if self.config.dim == 2:
+            Y += np.einsum("jk,ijk...->ij...", self.weights, G[:, self.cols])
+        return Y.reshape(X.shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(assemble(self.config), dtype=dtype)
 
 
 def source_vector(config: DiscretizationConfig) -> np.ndarray:

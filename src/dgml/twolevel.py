@@ -21,20 +21,21 @@ so c = 1/2 reproduces continuous linear interpolation and any other c leaves
 a controlled jump at the fine midpoint node.  Restriction is R = P^T / 2
 (P^T / 4 in 2D) and the coarse operator is inherited, A0 = R A P.
 
-The 1D prolongation P1 is block diagonal, so products with it act on the
-4x2 blocks in O(rows * cols) and no set-up forms R A P densely.  With
-K = P1^T A1 P1 / 2 (banded: block tridiagonal with 2x2 blocks, plus the
-periodic corners), scattered from the stencil triplets by coarse cell, the
-coarse operator is A0 = K in 1D and, since P2 = P1 (x) P1 and
-A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with M = P1^T P1 / 2 in
-2D (the restriction scale cancels).  A0 is never stored: it lives only in
-the coarse solve.  The 1D Dirichlet K is factored once by block LDL^T from
-its 2x2 blocks, so a coarse solve costs O(m) per column.  Every other
-coarse solve is a fast diagonalization (Lynch, Rice & Thomas, Numer.
-Math. 6, 1964) from one eigendecomposition of the m x m pair (K, M), M = I
-in 1D, in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0 is
-singular with the constant vector as kernel; the solve drops the constant
-eigenvector, which gives the pseudo-inverse.
+A is held as the 1D stencil in ELL form (discretization.SystemOperator) and
+P as its 4x2 block (Prolongation): both apply by `@` in O(size), and only
+np.asarray, for the dense oracles, forms a fine-grid matrix.  No set-up
+forms R A P densely either.  With K = P1^T A1 P1 / 2 (banded: block
+tridiagonal with 2x2 blocks, plus the periodic corners), scattered from the
+ELL stencil by coarse cell, the coarse operator is A0 = K in 1D and, since
+P2 = P1 (x) P1 and A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with
+M = P1^T P1 / 2 in 2D (the restriction scale cancels).  A0 is never stored:
+it lives only in the coarse solve.  The 1D Dirichlet K is factored once by
+block LDL^T from its 2x2 blocks, so a coarse solve costs O(m) per column.
+Every other coarse solve is a fast diagonalization (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964) from one eigendecomposition of the m x m pair (K, M),
+M = I in 1D, in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0
+is singular with the constant vector as kernel; the solve drops the
+constant eigenvector, which gives the pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .discretization import (
     BoundaryCondition,
     ConfigError,
     DiscretizationConfig,
-    _stencil_1d,
-    assemble,
+    SystemOperator,
+    check_dense_cap,
 )
 
 
@@ -128,13 +129,13 @@ def _prolongate(block: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (block @ X.reshape(X.shape[0] // 2, 2, -1)).reshape(-1, *X.shape[1:])
 
 
-def _stencil_times_prolongation(config: DiscretizationConfig, block: np.ndarray):
-    """A1 @ P1 from the stencil triplets, by coarse cell: (X, targets) with
+def _stencil_times_prolongation(A: SystemOperator, block: np.ndarray):
+    """A1 @ P1 from the ELL stencil of A, by coarse cell: (X, targets) with
     X[k, t] the 4x2 block in the rows of cell k and the columns of cell
     targets[k, t], one slot t per distinct cell among k-1, k, k+1 (mod J/2);
     the other blocks are zero.  Each entry is the dense product's 4-term sum."""
-    cells = config.cells_per_dim // 2
-    rows, cols, vals = _stencil_1d(config)
+    cols, vals = A.cols, A.weights
+    cells, rows = len(cols) // 4, np.arange(len(cols))[:, None]
     slot = (cols // 4 - rows // 4 + 1) % cells
     band = np.zeros((cells, min(3, cells), 4, 4))  # [k, t] = A1's 4x4 block
     np.add.at(band, (rows // 4, slot, rows % 4, cols % 4), vals)
@@ -157,14 +158,39 @@ def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     return np.kron(P, P) if config.dim == 2 else P
 
 
+class Prolongation:
+    """The prolongation of a configuration, held as its 4x2 block: P = P1 in
+    1D and P1 (x) P1 in 2D, with P1 = kron(I, block).  P @ Y applies the
+    block along each grid axis of Y, a vector or a stack of columns, in
+    O(P.shape[0] * columns).  np.asarray(P) is prolongation_matrix's dense
+    matrix, under the dense cap."""
+
+    def __init__(self, config: DiscretizationConfig, c: float):
+        self.config, self.discontinuity, self.block = config, c, _prolongation_block(c)
+        self.shape = (config.ndof, config.ndof // 2**config.dim)
+
+    def __matmul__(self, Y) -> np.ndarray:
+        Y = np.asarray(Y)
+        dim = self.config.dim
+        X = Y.reshape(*(self.config.cells_per_dim,) * dim, *Y.shape[1:])  # the coarse grid axes first
+        for _ in range(dim):  # P1 on axis 0, then the axes swap round
+            X = _prolongate(self.block, X).swapaxes(0, dim - 1)
+        return X.reshape(-1, *Y.shape[1:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        check_dense_cap(self.shape[0])
+        return np.asarray(prolongation_matrix(self.config, self.discontinuity), dtype=dtype)
+
+
 @dataclass(frozen=True)
 class TwoLevelOperators:
     """The operators of one two-level setup, assembled consistently; the
     smoother inverse is the scalar smoother_scale times the identity.
 
-    A and P are the dense fine-grid operators; they stay dense because the
-    benchmark and the dense oracles (error_matrix, preconditioner_matrix)
-    read them.  The restriction is not stored: it is P^T / 2^dim.  Nor is
+    A and P are structured: A @ X and P @ Y cost O(size) from the 1D
+    stencil and the 4x2 prolongation block, and no fine-grid matrix is
+    stored; np.asarray densifies them, under the dense cap, for the dense
+    oracles.  The restriction is not stored: it is P^T / 2^dim.  Nor is
     the coarse operator A0 = R A P: coarse_solve maps Y to A0^{-1} Y (the
     pseudo-inverse when periodic) for a vector or a matrix Y and holds at
     most m x m arrays (the 1D LDL^T factors or the eigenvectors of the pair
@@ -173,9 +199,9 @@ class TwoLevelOperators:
 
     config: DiscretizationConfig
     params: MethodParams
-    A: np.ndarray
+    A: SystemOperator
     smoother_scale: float
-    P: np.ndarray
+    P: Prolongation
     coarse_solve: Callable[[np.ndarray], np.ndarray]
 
 
@@ -267,12 +293,12 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     coarse operator outside the periodic kernel raises SingularCoarseError.
     """
     s = smoother_scale(config, params)
-    A = assemble(config)
-    P = prolongation_matrix(config, params.discontinuity)
-    block = _prolongation_block(params.discontinuity)
+    check_dense_cap(config.ndof)  # the same limit as np.asarray of A and P
+    A, P = SystemOperator(config), Prolongation(config, params.discontinuity)
+    block = P.block
     # K = (R1 A1) P1 with R1 A1 = (A1 P1)^T / 2, associated as the dense R A P,
     # by its 2x2 blocks at block row targets[k, t] and block column k
-    X, targets = _stencil_times_prolongation(config.with_dim(1), block)
+    X, targets = _stencil_times_prolongation(A, block)
     blocks = X.swapaxes(2, 3) / 2 @ block
     periodic = config.bc is BoundaryCondition.PERIODIC
     if config.dim == 1 and not periodic:
@@ -297,12 +323,11 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
     if ops.config.dim != 1:
         raise ConfigError("preconditioner_matrix is 1D only; use apply_preconditioner in 2D")
     a_s = ops.params.alpha * ops.smoother_scale
-    block = _prolongation_block(ops.params.discontinuity)
-    X, targets = _stencil_times_prolongation(ops.config, block)
+    X, targets = _stencil_times_prolongation(ops.A, ops.P.block)
     T = -a_s * X
-    T[targets == np.arange(len(X))[:, None]] += block  # P - alpha*s*A P, by coarse-cell blocks
+    T[targets == np.arange(len(X))[:, None]] += ops.P.block  # P - alpha*s*A P, by coarse-cell blocks
     # C = R (I - alpha*s*A) is freed once solved, so one m x n array is held with M^{-1}
-    Minv = _prolongate(block, ops.coarse_solve(_block_matrix(T.swapaxes(2, 3) / 2, targets)))
+    Minv = ops.P @ ops.coarse_solve(_block_matrix(T.swapaxes(2, 3) / 2, targets))
     Minv[np.diag_indices(Minv.shape[0])] += a_s
     return Minv
 
@@ -310,22 +335,19 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
     then the coarse correction of its residual.  Equals
-    preconditioner_matrix(ops) @ g without forming the n x n matrix; P and
-    P^T act by their 4x2 blocks, in 2D on each axis of the (2J, 2J) grid."""
+    preconditioner_matrix(ops) @ g without forming the n x n matrix; P^T
+    acts by its 4x2 blocks, in 2D on each axis of the (2J, 2J) grid."""
     x = ops.params.alpha * ops.smoother_scale * g
     r = g - ops.A @ x
-    block, dim = _prolongation_block(ops.params.discontinuity), ops.config.dim
+    dim = ops.config.dim
     C = r.reshape(*(2 * ops.config.cells_per_dim,) * dim, *r.shape[1:])
     for _ in range(dim):  # P^T = P1^T (x) P1^T, axis 0 each time round
-        C = _times_prolongation(C.T, block).T.swapaxes(0, dim - 1)
-    Y = ops.coarse_solve(C.reshape(-1, *r.shape[1:]) / 2**dim).reshape(C.shape)
-    for _ in range(dim):
-        Y = _prolongate(block, Y).swapaxes(0, dim - 1)
-    return x + Y.reshape(g.shape)
+        C = _times_prolongation(C.T, ops.P.block).T.swapaxes(0, dim - 1)
+    return x + ops.P @ ops.coarse_solve(C.reshape(-1, *r.shape[1:]) / 2**dim)
 
 
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
     two-level setup, as I - M^{-1} A with M^{-1} applied to the columns of
-    A; the algebra holds for the periodic pseudo-inverse too."""
-    return np.eye(len(ops.A)) - apply_preconditioner(ops, ops.A)
+    A, densified once; the algebra holds for the periodic pseudo-inverse too."""
+    return np.eye(ops.A.shape[0]) - apply_preconditioner(ops, np.asarray(ops.A))

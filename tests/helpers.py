@@ -6,8 +6,8 @@ projected blocks against the symbol module is a genuine two-route check.
 deflate_constant gives the dense periodic spectrum with the constant mode
 deflated, the oracle of the symbol-based periodic spectra.  sipg_1d_loop,
 prolongation_loop and dense_two_level build the two-level set-up entry by
-entry and product by product, the oracle of the structured build_two_level,
-preconditioner_matrix and error_matrix.  coarse_operator builds the
+entry and product by product, the oracle of the structured build_two_level
+(its A @ X and P @ Y too), preconditioner_matrix and error_matrix.  coarse_operator builds the
 Galerkin coarse operator R A P, which build_two_level does not store, from
 the same loops at every size the set-up accepts.
 """

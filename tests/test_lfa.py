@@ -70,7 +70,7 @@ def test_symbols_match_projected_dense_blocks(delta0, c, alpha):
                 atol=1e-10,
             )
             np.testing.assert_allclose(projected_block(ops.P, V, W), block, atol=1e-12)
-            np.testing.assert_allclose(projected_block(ops.P.T / 2, W, V), block.T / 2, atol=1e-12)
+            np.testing.assert_allclose(projected_block(np.asarray(ops.P).T / 2, W, V), block.T / 2, atol=1e-12)
             np.testing.assert_allclose(
                 projected_block(A0, W, W), galerkin_coarse(k, J, delta0, c),
                 atol=1e-10,

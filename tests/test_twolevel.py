@@ -8,11 +8,15 @@ from dgml.discretization import (
     BoundaryCondition,
     ConfigError,
     DiscretizationConfig,
+    SizeCapError,
+    SystemOperator,
     assemble_1d,
     assemble_2d,
+    dense_cap,
 )
 from dgml.twolevel import (
     MethodParams,
+    Prolongation,
     SingularCoarseError,
     _prolongation_block,
     apply_preconditioner,
@@ -23,7 +27,7 @@ from dgml.twolevel import (
     smoother_scale,
 )
 from dgml import lfa
-from helpers import coarse_operator, deflate_constant, dense_two_level
+from helpers import coarse_operator, deflate_constant, dense_two_level, prolongation_loop, sipg_1d_loop
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -32,7 +36,7 @@ DIR = BoundaryCondition.DIRICHLET
 def propagate_error(ops, e):
     """Matrix-free error propagation: smoothing, then coarse correction."""
     e = e - ops.params.alpha * ops.smoother_scale * (ops.A @ e)
-    return e - ops.P @ (ops.coarse_solve(np.eye(ops.P.shape[1])) @ (ops.P.T / 2 @ (ops.A @ e)))
+    return e - ops.P @ (ops.coarse_solve(np.eye(ops.P.shape[1])) @ (np.asarray(ops.P).T / 2 @ (ops.A @ e)))
 
 
 def test_method_params_validation():
@@ -119,11 +123,12 @@ def test_restriction_is_half_transpose():
     ops = build_two_level(DiscretizationConfig(4, 2.0, DIR), params)
     # 2D: P^T / 4 is the Kronecker square of the 1D restriction, exactly
     ops2 = build_two_level(DiscretizationConfig(4, 2.0, DIR, 2), params)
-    assert np.array_equal(ops2.P.T / 4, np.kron(ops.P.T / 2, ops.P.T / 2))
+    P, P2 = np.asarray(ops.P), np.asarray(ops2.P)
+    assert np.array_equal(P2.T / 4, np.kron(P.T / 2, P.T / 2))
 
 
 def test_restriction_preserves_constants():
-    R = build_two_level(DiscretizationConfig(2, 2.0, DIR), MethodParams(0.9, 2.0, 0.6)).P.T / 2
+    R = np.asarray(build_two_level(DiscretizationConfig(2, 2.0, DIR), MethodParams(0.9, 2.0, 0.6)).P).T / 2
     np.testing.assert_allclose(R @ np.ones(4), np.ones(2), atol=1e-14)
     np.testing.assert_allclose(R.sum(axis=1), 1.0)
 
@@ -205,7 +210,7 @@ def test_error_operator_alpha_zero_is_coarse_correction():
     params = MethodParams(0.0, 2.0, 0.4)
     ops = build_two_level(cfg, params)
     E = error_matrix(ops)
-    expected = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (ops.P.T / 2) @ ops.A
+    expected = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (np.asarray(ops.P).T / 2) @ ops.A
     np.testing.assert_allclose(E, expected, atol=1e-13 * np.abs(expected).max())
 
 
@@ -214,7 +219,7 @@ def test_coarse_correction_annihilates_coarse_space():
     cfg = DiscretizationConfig(8, 1.6, DIR)
     params = MethodParams(0.9, 1.6, 0.7)
     ops = build_two_level(cfg, params)
-    C = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (ops.P.T / 2) @ ops.A
+    C = np.eye(16) - ops.P @ ops.coarse_solve(np.eye(8)) @ (np.asarray(ops.P).T / 2) @ ops.A
     assert np.abs(C @ ops.P).max() < 1e-12
 
 
@@ -296,6 +301,45 @@ def test_structured_setup_matches_dense_1d(bc, J, alpha, penalty, c):
 def test_structured_setup_matches_dense_2d(bc, J, alpha, penalty, c):
     cfg, params = DiscretizationConfig(J, penalty, bc, 2), MethodParams(alpha, penalty, c)
     assert_matches_dense(build_two_level(cfg, params), dense_two_level(cfg, params))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), bc=st.sampled_from([DIR, PER]), penalty=PENALTY, c=DISCONTINUITY)
+def test_structured_operators_match_loop_oracles(dim, data, bc, penalty, c):
+    # A @ X and P @ Y, for a column stack and a vector, against the
+    # entry-by-entry 1D matrices applied on each grid axis, at every J the
+    # dense cap admits; the operators of build_two_level, built without its
+    # coarse solve
+    largest = dense_cap() // 2 if dim == 1 else int(np.sqrt(dense_cap())) // 2
+    J = 2 * data.draw(st.integers(1, largest // 2), label="J / 2")
+    cfg = DiscretizationConfig(J, penalty, bc, dim)
+    A, P = SystemOperator(cfg), Prolongation(cfg, c)
+    A1, P1 = sipg_1d_loop(J, penalty, bc), prolongation_loop(J, c)
+    rng = np.random.default_rng(J)
+    X, Y = rng.standard_normal((cfg.ndof, 3)), rng.standard_normal((P.shape[1], 3))
+    if dim == 1:
+        AX, PY = A1 @ X, P1 @ Y
+    else:  # A = A1 (x) I + I (x) A1 and P = P1 (x) P1 on the (row, column) grid
+        G, H = X.reshape(2 * J, 2 * J, 3), Y.reshape(J, J, 3)
+        AX = (np.einsum("ai,ijk->ajk", A1, G) + np.einsum("bj,ijk->ibk", A1, G)).reshape(X.shape)
+        PY = np.einsum("bj,ajk->abk", P1, np.einsum("ai,ijk->ajk", P1, H)).reshape(-1, 3)
+    for op, Z, expected in ((A, X, AX), (P, Y, PY)):
+        assert relative_error(op @ Z, expected) < 1e-12
+        assert relative_error(op @ Z[:, 0], expected[:, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operators_hold_no_dense_matrix_and_densify_under_the_cap(monkeypatch, dim):
+    cfg = DiscretizationConfig(8, 2.0, DIR, dim)
+    ops = build_two_level(cfg, MethodParams(0.9, 2.0, 0.5))
+    assert [k for k, v in vars(ops).items() if isinstance(v, np.ndarray) and len(v) == cfg.ndof] == []
+    assert ops.A.shape == (cfg.ndof, cfg.ndof) and ops.P.shape == (cfg.ndof, cfg.ndof // 2**dim)
+    monkeypatch.setenv("DGML_DENSE_CAP", str(cfg.ndof - 1))
+    for op in (ops.A, ops.P):
+        with pytest.raises(SizeCapError):
+            np.asarray(op)
+    assert (ops.A @ np.ones(cfg.ndof)).shape == (cfg.ndof,)  # applying needs no dense matrix
 
 
 def test_preconditioner_matrix_is_1d_only():
@@ -417,20 +461,21 @@ def traced_peak(fn, *args):
 
 
 def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clustering_triple):
-    # build_two_level holds A and P and nothing else of their size, no
-    # coarse operator either; the dense M^{-1} needs one n x n and one
-    # m x n array at a time
+    # build_two_level holds no array of the fine-grid size, no coarse
+    # operator either; the dense M^{-1} needs one n x n and one m x n array
+    # at a time
     cfg = DiscretizationConfig(512, clustering_triple.penalty, DIR)
     ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
-    assert peak <= ops.A.nbytes + ops.P.nbytes + 2**20
+    assert peak <= 2**20
     Minv, peak = traced_peak(preconditioner_matrix, ops)
-    assert peak <= Minv.nbytes + ops.P.T.nbytes + 2**20
+    n, m = ops.P.shape
+    assert peak <= Minv.nbytes + 8 * n * m + 2**20
 
 
 def test_2d_dirichlet_setup_allocates_no_extra_dense_arrays(clustering_triple):
-    # at the 2D size cap build_two_level holds A and P and nothing else of
-    # their size: no coarse operator, no dense coarse inverse, no Kronecker
-    # temporaries
+    # at the 2D size cap build_two_level holds no array of the fine-grid
+    # size: no dense A or P, no coarse operator, no dense coarse inverse, no
+    # Kronecker temporaries
     cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR, 2)
-    ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
-    assert peak <= ops.A.nbytes + ops.P.nbytes + 2 * 2**20
+    _, peak = traced_peak(build_two_level, cfg, clustering_triple)
+    assert peak <= 2**20
