@@ -59,10 +59,11 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     Eigenvalues are sorted by (real, imag) first, so the result does not
     depend on input order; clusters are returned sorted the same way.
 
-    Linked pairs (|x - y| <= tol) are found among the neighbours whose real
-    parts are close in the sorted order, and components are labelled by
-    their smallest sorted index through min-label propagation with pointer
-    jumping.
+    Equal values are collapsed (exact repeats, such as Dirichlet structural
+    zeros, cost one pair search).  Linked pairs (|x - y| <= tol) are found
+    among the neighbours whose real parts are close in the sorted order,
+    and components are labelled by their smallest index through min-label
+    propagation with pointer jumping.
     """
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
@@ -71,16 +72,18 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     if n == 0:
         return []
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    first = np.flatnonzero(np.r_[True, eigs[1:] != eigs[:-1]])  # of each run of equal values
+    vals, d = eigs[first], first.size
     # candidates j > i with Re x_j <= Re x_i + 2 tol: the margin keeps rounding
     # in the real parts from dropping a linked pair; the exact test follows
-    ends = np.searchsorted(eigs.real, eigs.real + 2.0 * tol, side="right")
-    spans = ends - np.arange(n) - 1
-    first = np.cumsum(spans) - spans  # offset of i's candidates in the flat pair list
-    left = np.repeat(np.arange(n), spans)
-    right = left + 1 + np.arange(left.size) - first[left]
-    linked = np.abs(eigs[right] - eigs[left]) <= tol
+    ends = np.searchsorted(vals.real, vals.real + 2.0 * tol, side="right")
+    spans = ends - np.arange(d) - 1
+    starts = np.cumsum(spans) - spans  # offset of i's candidates in the flat pair list
+    left = np.repeat(np.arange(d), spans)
+    right = left + 1 + np.arange(left.size) - starts[left]
+    linked = np.abs(vals[right] - vals[left]) <= tol
     left, right = left[linked], right[linked]
-    labels = np.arange(n)
+    labels = np.arange(d)
     while True:
         before = labels.copy()
         np.minimum.at(labels, left, labels[right])
@@ -88,15 +91,15 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
         labels = labels[labels]
         if np.array_equal(labels, before):
             break
+    labels = np.repeat(labels, np.diff(np.r_[first, n]))  # equal values share a cluster
     order = np.argsort(labels, kind="stable")
     _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     members = eigs[order]
-    clusters = []
-    for start, count in zip(starts, counts):
-        vals = members[start : start + count]
-        center = vals.mean()
-        radius = float(np.max(np.abs(vals - center)))
-        clusters.append(Cluster(complex(center), int(count), radius))
+    centers = members[starts]  # a lone value is its own mean
+    for i in np.flatnonzero(counts > 1):  # mean()'s pairwise sum, not reduceat's running one
+        centers[i] = members[starts[i] : starts[i] + counts[i]].mean()
+    radii = np.maximum.reduceat(np.abs(members - np.repeat(centers, counts)), starts)
+    clusters = [Cluster(complex(c), int(k), float(r)) for c, k, r in zip(centers, counts, radii)]
     clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return clusters
 

@@ -30,12 +30,13 @@ ELL stencil by coarse cell, the coarse operator is A0 = K in 1D and, since
 P2 = P1 (x) P1 and A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with
 M = P1^T P1 / 2 in 2D (the restriction scale cancels).  A0 is never stored:
 it lives only in the coarse solve.  The 1D Dirichlet K is factored once by
-block LDL^T from its 2x2 blocks, so a coarse solve costs O(m) per column.
-Every other coarse solve is a fast diagonalization (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964) from one eigendecomposition of the m x m pair (K, M),
-M = I in 1D, in O(m^3) where a dense 2D inverse costs O(m^6).  Periodic A0
-is singular with the constant vector as kernel; the solve drops the
-constant eigenvector, which gives the pseudo-inverse.
+block LDL^T, and a solve's sweeps are batched over chunks of sqrt(m) rows
+(_recurrence_solver).  Every other coarse solve is a fast diagonalization
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one eigendecomposition of
+the m x m pair (K, M), M = I in 1D, in O(m^3) where a dense 2D inverse
+costs O(m^6).  Periodic A0 is singular with the constant vector as kernel;
+the solve drops the constant eigenvector, which gives the pseudo-inverse.
+The 1D M^{-1} is an operator too (Preconditioner).
 """
 
 from __future__ import annotations
@@ -111,11 +112,6 @@ def _block_matrix(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_diagonal(block: np.ndarray, count: int) -> np.ndarray:
-    """kron(eye(count), block)."""
-    return _block_matrix(np.broadcast_to(block, (count, 1, *block.shape)), np.arange(count)[:, None])
-
-
 def _times_prolongation(X: np.ndarray, block: np.ndarray) -> np.ndarray:
     """X @ P1 for the 1D prolongation P1 = kron(I, block), in O(X.size); X
     is a row vector or a stack of rows."""
@@ -154,7 +150,8 @@ def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     J = config.cells_per_dim
     if J % 2 != 0:
         raise ConfigError(f"prolongation needs an even cell count, got {J}")
-    P = _block_diagonal(_prolongation_block(c), J // 2)
+    cells = J // 2  # kron(eye(cells), block)
+    P = _block_matrix(np.broadcast_to(_prolongation_block(c), (cells, 1, 4, 2)), np.arange(cells)[:, None])
     return np.kron(P, P) if config.dim == 2 else P
 
 
@@ -193,8 +190,8 @@ class TwoLevelOperators:
     oracles.  The restriction is not stored: it is P^T / 2^dim.  Nor is
     the coarse operator A0 = R A P: coarse_solve maps Y to A0^{-1} Y (the
     pseudo-inverse when periodic) for a vector or a matrix Y and holds at
-    most m x m arrays (the 1D LDL^T factors or the eigenvectors of the pair
-    (K, M)), never A0 or a dense inverse of it.
+    most m x m arrays (the 1D LDL^T chunk transfers or the eigenvectors of
+    the pair (K, M)), never A0 or a dense inverse of it.
     """
 
     config: DiscretizationConfig
@@ -205,17 +202,44 @@ class TwoLevelOperators:
     coarse_solve: Callable[[np.ndarray], np.ndarray]
 
 
-def _sweep(blocks: np.ndarray, X: np.ndarray) -> None:
-    """X[k] -= blocks[k-1] @ X[k-1] for k = 1, 2, ... in turn, in place."""
-    if X.shape[2] > 1:
-        for b, x, prev in zip(blocks, X[1:], X[:-1]):
-            x -= b @ prev
-        return
-    x = X.ravel().tolist()  # one column: float arithmetic beats 2x2 numpy calls
-    for k, (a, b, c, d) in enumerate(blocks.reshape(-1, 4).tolist(), 1):
-        x[2 * k] -= a * x[2 * k - 2] + b * x[2 * k - 1]
-        x[2 * k + 1] -= c * x[2 * k - 2] + d * x[2 * k - 1]
-    X[...] = np.reshape(x, X.shape)
+def _recurrence_solver(diag: np.ndarray, blocks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """X -> x with x_0 = diag[0] X_0 and x_k = diag[k] X_k - blocks[k-1]
+    x_{k-1} (2x2 blocks), for X of shape (N, 2, columns).
+
+    The N rows form chunks of L = isqrt(N), the last one padded with zero
+    blocks.  Chunk c maps its X_c and the row x_in before it to x_c = F_c
+    x_in + T_c X_c, and its last rows e_c = (T_c X_c)_last + (F_c)_last
+    e_{c-1} follow a recurrence of the same kind, with transfer W.  A sweep
+    is three products, T @ X, W @ e and F @ e: O(N^{3/2}) flops per column.
+    """
+
+    def transfer(D, B):  # [F | T] of x_i = D_i X_i - B_i x_{i-1}, batched on axis 0
+        L = D.shape[1]
+        FT = np.zeros((len(D), L, 2, 2 * L + 2))
+        prev = np.eye(2, 2 * L + 2)  # x_{-1} in [x_{-1} | X] coordinates
+        for i in range(L):
+            FT[:, i, :, 2 * i + 2 : 2 * i + 4] = D[:, i]
+            FT[:, i] -= B[:, i] @ prev
+            prev = FT[:, i]
+        return FT.reshape(len(D), 2 * L, 2 * L + 2)
+
+    N = len(diag)
+    L = int(N**0.5)
+    chunks = -(-N // L)
+    D, B = np.zeros((2, chunks, L, 2, 2))
+    D.reshape(-1, 2, 2)[:N], B.reshape(-1, 2, 2)[1:N] = diag, blocks  # no inflow into row 0
+    F, T = np.split(transfer(D, B), [2], axis=-1)
+    W = transfer(np.broadcast_to(np.eye(2), (1, chunks, 2, 2)), -F[None, :, -2:])[0, :, 2:]
+
+    def sweep(X: np.ndarray) -> np.ndarray:
+        Z = np.zeros((2 * chunks * L, X.shape[-1]))
+        Z[: 2 * N] = X.reshape(2 * N, -1)
+        Z = T @ Z.reshape(chunks, 2 * L, -1)  # each chunk for a zero inflow
+        ends = (W @ Z[:, -2:].reshape(2 * chunks, -1)).reshape(chunks, 2, -1)
+        Z[1:] += F[1:] @ ends[:-1]
+        return Z.reshape(-1, 2, X.shape[-1])[:N]
+
+    return sweep
 
 
 def _block_tridiagonal_solver(blocks: np.ndarray, targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -227,7 +251,7 @@ def _block_tridiagonal_solver(blocks: np.ndarray, targets: np.ndarray) -> Callab
     pivots are S_0 = D_0 and S_k = D_k - L_{k-1} S_{k-1}^{-1} L_{k-1}^T, with
     D_k the diagonal and L_k the sub-diagonal blocks.  A solve is one forward
     sweep U_k = S_k^{-1} (Y_k - L_{k-1} U_{k-1}) and one backward sweep
-    X_k = U_k - S_k^{-1} L_k^T X_{k+1}, O(m) per column for m rows.  A
+    X_k = U_k - S_k^{-1} L_k^T X_{k+1}, each by _recurrence_solver.  A
     singular pivot block raises LinAlgError.
     """
     cells = len(blocks)
@@ -239,13 +263,12 @@ def _block_tridiagonal_solver(blocks: np.ndarray, targets: np.ndarray) -> Callab
     for j in range(cells):
         pivots_inv[j] = np.linalg.inv(diag[j] - sub[j - 1] @ up[j - 1])
         up[j] = pivots_inv[j] @ sub[j].T
-    down = pivots_inv[1:] @ sub[:-1]  # S_k^{-1} L_{k-1}
+    forward = _recurrence_solver(pivots_inv, pivots_inv[1:] @ sub[:-1])  # S_k^{-1} L_{k-1}
+    backward = _recurrence_solver(np.broadcast_to(np.eye(2), up.shape), up[-2::-1])
 
     def solve(Y: np.ndarray) -> np.ndarray:
-        X = pivots_inv @ Y.reshape(cells, 2, -1)
-        _sweep(down, X)
-        _sweep(up[-2::-1], X[::-1])
-        return X.reshape(Y.shape)
+        X = forward(Y.reshape(cells, 2, -1))
+        return backward(X[::-1])[::-1].reshape(Y.shape)
 
     return solve
 
@@ -314,29 +337,33 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     return TwoLevelOperators(config, params, A, s, P, coarse_solve)
 
 
-def preconditioner_matrix(ops: TwoLevelOperators) -> np.ndarray:
-    """Dense 1D M^{-1} = alpha*s*I + P A0^{-1} C with C = R (I - alpha*s*A).
+class Preconditioner:
+    """The 1D M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up:
+    M @ Y is apply_preconditioner, np.asarray(M) is dense under the cap."""
 
-    C = P^T/2 - alpha*s*R A is scattered from the stencil triplets, the coarse
-    solve acts on its m x n columns and P is applied by its 4x2 blocks.
-    """
+    def __init__(self, ops: TwoLevelOperators):
+        self.ops, self.shape = ops, ops.A.shape
+
+    def __matmul__(self, Y) -> np.ndarray:
+        return apply_preconditioner(self.ops, np.asarray(Y))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        check_dense_cap(self.shape[0])
+        return np.asarray(_dense(self.__matmul__, self.shape[0]), dtype=dtype)
+
+
+def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
+    """The 1D M^{-1} of a set-up: apply it by `@`, densify it by np.asarray."""
     if ops.config.dim != 1:
         raise ConfigError("preconditioner_matrix is 1D only; use apply_preconditioner in 2D")
-    a_s = ops.params.alpha * ops.smoother_scale
-    X, targets = _stencil_times_prolongation(ops.A, ops.P.block)
-    T = -a_s * X
-    T[targets == np.arange(len(X))[:, None]] += ops.P.block  # P - alpha*s*A P, by coarse-cell blocks
-    # C = R (I - alpha*s*A) is freed once solved, so one m x n array is held with M^{-1}
-    Minv = ops.P @ ops.coarse_solve(_block_matrix(T.swapaxes(2, 3) / 2, targets))
-    Minv[np.diag_indices(Minv.shape[0])] += a_s
-    return Minv
+    return Preconditioner(ops)
 
 
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
-    then the coarse correction of its residual.  Equals
-    preconditioner_matrix(ops) @ g without forming the n x n matrix; P^T
-    acts by its 4x2 blocks, in 2D on each axis of the (2J, 2J) grid."""
+    then the coarse correction of its residual, for a vector or a stack of
+    columns g (preconditioner_matrix(ops) @ g in 1D); P^T acts by its 4x2
+    blocks, in 2D on each axis of the (2J, 2J) grid."""
     x = ops.params.alpha * ops.smoother_scale * g
     r = g - ops.A @ x
     dim = ops.config.dim
@@ -346,8 +373,17 @@ def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     return x + ops.P @ ops.coarse_solve(C.reshape(-1, *r.shape[1:]) / 2**dim)
 
 
+def _dense(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The n x n matrix of a linear map, applied to 2^15 // n identity
+    columns at a time, so that its work arrays stay O(2^15) entries."""
+    out, width = np.empty((n, n)), max(1, 2**15 // n)
+    for j in range(0, n, width):
+        out[:, j : j + width] = apply(np.eye(n, min(width, n - j), -j))
+    return out
+
+
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
-    two-level setup, as I - M^{-1} A with M^{-1} applied to the columns of
-    A, densified once; the algebra holds for the periodic pseudo-inverse too."""
-    return np.eye(ops.A.shape[0]) - apply_preconditioner(ops, np.asarray(ops.A))
+    two-level setup, as I - M^{-1} A, densified by blocks of columns; the
+    algebra holds for the periodic pseudo-inverse too."""
+    return _dense(lambda E: E - apply_preconditioner(ops, ops.A @ E), ops.A.shape[0])

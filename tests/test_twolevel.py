@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgml.discretization import (
     BoundaryCondition,
@@ -386,6 +386,40 @@ def test_dirichlet_coarse_solve_backward_error(clustering_triple):
         assert infinity_norm(K @ X - y) / (infinity_norm(K) * infinity_norm(X)) < 1e-13
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(cells=st.one_of(st.integers(1, 3), st.integers(4, 1024)), alpha=ALPHA, penalty=PENALTY, c=DISCONTINUITY)
+@example(cells=1024, alpha=0.9, penalty=2.0, c=0.5)  # the size cap, J = 2048
+@example(cells=27, alpha=0.9, penalty=1.01, c=0.99)  # 27 rows: chunks of 5, the last one of 2
+def test_chunked_dirichlet_solves_match_oracles(cells, alpha, penalty, c):
+    # the chunked LDL^T sweeps run on J/2 block rows, in chunks of
+    # isqrt(J/2) rows; for a matrix and a vector, the coarse solve against
+    # R A P by backward error and M^{-1} against the dense products
+    cfg, params = DiscretizationConfig(2 * cells, penalty, DIR), MethodParams(alpha, penalty, c)
+    ops, K = build_two_level(cfg, params), coarse_operator(cfg, params)
+    rng = np.random.default_rng(cells)
+    Y, G = rng.standard_normal((len(K), 3)), rng.standard_normal((cfg.ndof, 3))
+    for y in (Y, Y[:, 0]):
+        X = ops.coarse_solve(y)
+        assert X.shape == y.shape
+        assert infinity_norm(K @ X - y) / (infinity_norm(K) * infinity_norm(X)) < 1e-13
+    if cells <= 256:  # the dense products take seconds beyond J = 512
+        Minv = dense_two_level(cfg, params).Minv
+        for g in (G, G[:, 0]):
+            assert relative_error(preconditioner_matrix(ops) @ g, Minv @ g) < 1e-12
+
+
+def test_preconditioner_applies_without_densifying_and_densifies_under_the_cap(monkeypatch):
+    cfg = DiscretizationConfig(8, 2.0, DIR)
+    ops = build_two_level(cfg, MethodParams(0.9, 2.0, 0.5))
+    Minv, g = preconditioner_matrix(ops), np.arange(16.0)
+    assert Minv.shape == (16, 16)
+    assert relative_error(np.asarray(Minv) @ g, Minv @ g) < 1e-13
+    monkeypatch.setenv("DGML_DENSE_CAP", "15")
+    with pytest.raises(SizeCapError):
+        np.asarray(Minv)
+    np.testing.assert_array_equal(Minv @ g, apply_preconditioner(ops, g))
+
+
 @pytest.mark.parametrize("bc", [DIR, PER])
 def test_2d_coarse_solve_backward_error(bc, clustering_triple):
     # the fast-diagonalization solve at J=32, the 2D size cap, for a matrix
@@ -461,15 +495,19 @@ def traced_peak(fn, *args):
 
 
 def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clustering_triple):
-    # build_two_level holds no array of the fine-grid size, no coarse
-    # operator either; the dense M^{-1} needs one n x n and one m x n array
-    # at a time
+    # build_two_level and preconditioner_matrix hold no array of the
+    # fine-grid size, no coarse operator either; the dense M^{-1} and E are
+    # filled by blocks of columns, so their work arrays stay small
     cfg = DiscretizationConfig(512, clustering_triple.penalty, DIR)
     ops, peak = traced_peak(build_two_level, cfg, clustering_triple)
     assert peak <= 2**20
     Minv, peak = traced_peak(preconditioner_matrix, ops)
+    assert peak <= 2**20
     n, m = ops.P.shape
-    assert peak <= Minv.nbytes + 8 * n * m + 2**20
+    dense, peak = traced_peak(np.asarray, Minv)
+    assert peak <= dense.nbytes + 8 * n * m + 2**20
+    E, peak = traced_peak(error_matrix, ops)
+    assert peak <= 2 * E.nbytes + 2**21
 
 
 def test_2d_dirichlet_setup_allocates_no_extra_dense_arrays(clustering_triple):
