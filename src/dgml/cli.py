@@ -274,7 +274,7 @@ def cmd_gmres_sweep(args) -> int:
                 unconverged.append(f"J={J} {name}")
     if args.format in ("csv", "both"):
         write_csv(f"{args.out}_gmres.csv", ["J", "preset", "iterations", "final_relres"],
-                  [[str(r[0]), r[1], str(r[2]), fmt(r[3])] for r in rows])
+                  [[str(r[0]), r[1], str(r[2]), f"{r[3]:.3e}"] for r in rows])
     if args.format in ("svg", "both"):
         svg_plot(f"{args.out}_gmres.svg", f"GMRES iterations to {args.tol:g}",
                  "cells J", "iterations", _series(pairs, rows, 1, 0, 2), lines=True)

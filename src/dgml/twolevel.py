@@ -30,12 +30,13 @@ ELL stencil by coarse cell, the coarse operator is A0 = K in 1D and, since
 P2 = P1 (x) P1 and A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with
 M = P1^T P1 / 2 in 2D (the restriction scale cancels).  A0 is never stored:
 it lives only in the coarse solve.  The 1D Dirichlet K is factored once by
-block LDL^T, and a solve's sweeps are batched over chunks of sqrt(m) rows
-(_recurrence_solver).  Every other coarse solve is a fast diagonalization
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one eigendecomposition of
-the m x m pair (K, M), M = I in 1D, in O(m^3) where a dense 2D inverse
-costs O(m^6).  Periodic A0 is singular with the constant vector as kernel;
-the solve drops the constant eigenvector, which gives the pseudo-inverse.
+recursive static condensation over chunks of rows (_condensed_solver), in
+O(m) set-up, memory and flops per column.  Every other coarse solve is a
+fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one
+eigendecomposition of the m x m pair (K, M), M = I in 1D, in O(m^3) where a
+dense 2D inverse costs O(m^6).  Periodic A0 is singular with the constant
+vector as kernel; the solve drops the constant eigenvector, which gives the
+pseudo-inverse.
 The 1D M^{-1} is an operator too (Preconditioner).
 """
 
@@ -190,8 +191,8 @@ class TwoLevelOperators:
     oracles.  The restriction is not stored: it is P^T / 2^dim.  Nor is
     the coarse operator A0 = R A P: coarse_solve maps Y to A0^{-1} Y (the
     pseudo-inverse when periodic) for a vector or a matrix Y and holds at
-    most m x m arrays (the 1D LDL^T chunk transfers or the eigenvectors of
-    the pair (K, M)), never A0 or a dense inverse of it.
+    most m x m arrays (the 1D Dirichlet chunk inverses or the eigenvectors
+    of the pair (K, M)), never A0 or a dense inverse of it.
     """
 
     config: DiscretizationConfig
@@ -202,73 +203,69 @@ class TwoLevelOperators:
     coarse_solve: Callable[[np.ndarray], np.ndarray]
 
 
-def _recurrence_solver(diag: np.ndarray, blocks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """X -> x with x_0 = diag[0] X_0 and x_k = diag[k] X_k - blocks[k-1]
-    x_{k-1} (2x2 blocks), for X of shape (N, 2, columns).
+_CHUNK = 32  # block rows per condensation chunk, chosen by measurement
 
-    The N rows form chunks of L = isqrt(N), the last one padded with zero
-    blocks.  Chunk c maps its X_c and the row x_in before it to x_c = F_c
-    x_in + T_c X_c, and its last rows e_c = (T_c X_c)_last + (F_c)_last
-    e_{c-1} follow a recurrence of the same kind, with transfer W.  A sweep
-    is three products, T @ X, W @ e and F @ e: O(N^{3/2}) flops per column.
+
+def _tridiagonal(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The dense symmetric block-tridiagonal matrices with 2x2 blocks
+    diag[..., k] on the diagonal and sub[..., k] at block (k+1, k),
+    batched over the leading axes."""
+    *lead, n = diag.shape[:-2]
+    T, k = np.zeros((*lead, n, 2, n, 2)), np.arange(n)
+    blocks = T.swapaxes(-3, -2)  # [..., row, column] = that 2x2 block
+    blocks[..., k, k, :, :] = diag
+    blocks[..., k[1:], k[:-1], :, :] = sub
+    blocks[..., k[:-1], k[1:], :, :] = sub.swapaxes(-1, -2)
+    return T.reshape(*lead, 2 * n, 2 * n)
+
+
+def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Y -> T^{-1} Y for T = _tridiagonal(diag, sub) of N block rows, by the
+    block partition method (Wang, ACM TOMS 7, 1981) applied recursively.
+
+    The rows form chunks of L = _CHUNK, the last one padded with identity
+    blocks that couple to nothing.  Each chunk's first L-1 rows, its
+    interior, couple only to the separators: its last row and the one
+    before the chunk.  One batched inv inverts all interiors; the
+    separators' Schur complement is again block tridiagonal and is solved
+    the same way until N <= L, where one dense inv of at most 2L rows ends
+    the recursion.  Set-up and storage are O(N L), and a solve is a few
+    batched products per level, O(N L) flops per column.  A singular
+    interior or last block raises LinAlgError.
     """
-
-    def transfer(D, B):  # [F | T] of x_i = D_i X_i - B_i x_{i-1}, batched on axis 0
-        L = D.shape[1]
-        FT = np.zeros((len(D), L, 2, 2 * L + 2))
-        prev = np.eye(2, 2 * L + 2)  # x_{-1} in [x_{-1} | X] coordinates
-        for i in range(L):
-            FT[:, i, :, 2 * i + 2 : 2 * i + 4] = D[:, i]
-            FT[:, i] -= B[:, i] @ prev
-            prev = FT[:, i]
-        return FT.reshape(len(D), 2 * L, 2 * L + 2)
-
     N = len(diag)
-    L = int(N**0.5)
-    chunks = -(-N // L)
-    D, B = np.zeros((2, chunks, L, 2, 2))
-    D.reshape(-1, 2, 2)[:N], B.reshape(-1, 2, 2)[1:N] = diag, blocks  # no inflow into row 0
-    F, T = np.split(transfer(D, B), [2], axis=-1)
-    W = transfer(np.broadcast_to(np.eye(2), (1, chunks, 2, 2)), -F[None, :, -2:])[0, :, 2:]
-
-    def sweep(X: np.ndarray) -> np.ndarray:
-        Z = np.zeros((2 * chunks * L, X.shape[-1]))
-        Z[: 2 * N] = X.reshape(2 * N, -1)
-        Z = T @ Z.reshape(chunks, 2 * L, -1)  # each chunk for a zero inflow
-        ends = (W @ Z[:, -2:].reshape(2 * chunks, -1)).reshape(chunks, 2, -1)
-        Z[1:] += F[1:] @ ends[:-1]
-        return Z.reshape(-1, 2, X.shape[-1])[:N]
-
-    return sweep
-
-
-def _block_tridiagonal_solver(blocks: np.ndarray, targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Y -> T^{-1} Y for a symmetric block-tridiagonal T with 2x2 blocks,
-    given as in _block_matrix: blocks[k, t] at block row targets[k, t] and
-    block column k.
-
-    T is factored once by block LDL^T without pivoting (T is SPD here): the
-    pivots are S_0 = D_0 and S_k = D_k - L_{k-1} S_{k-1}^{-1} L_{k-1}^T, with
-    D_k the diagonal and L_k the sub-diagonal blocks.  A solve is one forward
-    sweep U_k = S_k^{-1} (Y_k - L_{k-1} U_{k-1}) and one backward sweep
-    X_k = U_k - S_k^{-1} L_k^T X_{k+1}, each by _recurrence_solver.  A
-    singular pivot block raises LinAlgError.
-    """
-    cells = len(blocks)
-    k = np.arange(cells)[:, None]
-    # sub[k] = L_k (the last one wraps round and is never used); up[-1] is
-    # still zero at j = 0, so the first pivot is D_0
-    diag, sub = blocks[targets == k], blocks[targets == (k + 1) % cells]
-    pivots_inv, up = np.empty((cells, 2, 2)), np.zeros((cells, 2, 2))  # up[k] = S_k^{-1} L_k^T
-    for j in range(cells):
-        pivots_inv[j] = np.linalg.inv(diag[j] - sub[j - 1] @ up[j - 1])
-        up[j] = pivots_inv[j] @ sub[j].T
-    forward = _recurrence_solver(pivots_inv, pivots_inv[1:] @ sub[:-1])  # S_k^{-1} L_{k-1}
-    backward = _recurrence_solver(np.broadcast_to(np.eye(2), up.shape), up[-2::-1])
+    if N <= _CHUNK:
+        inverse = np.linalg.inv(_tridiagonal(diag, sub))
+        return lambda Y: (inverse @ Y.reshape(2 * N, -1)).reshape(Y.shape)
+    L, C = _CHUNK, -(-N // _CHUNK)
+    D, S = np.tile(np.eye(2), (C * L, 1, 1)), np.zeros((C * L, 2, 2))
+    D[:N], S[: N - 1] = diag, sub
+    D, S = D.reshape(C, L, 2, 2), S.reshape(C, L, 2, 2)
+    T = _tridiagonal(D[:, :-1], S[:, :-2])
+    interior, cols = np.linalg.inv(T), [0, 1, -2, -1]
+    # one refinement step on the end columns, the only ones the separators
+    # see, about halves the solve's largest forward errors
+    ends = interior[:, :, cols]
+    ends += interior @ (np.eye(T.shape[-1])[:, cols] - T @ ends)
+    # separator c couples to chunk c's last interior row by up[c] and to
+    # chunk c+1's first by down[c]^T; right and left: T^{-1} times those
+    up, down = S[:, -2], S[:-1, -1]
+    right = ends[:, :, 2:] @ up.swapaxes(1, 2)
+    left = ends[1:, :, :2] @ down
+    schur = D[:, -1] - up @ right[:, -2:]
+    schur[:-1] -= down.swapaxes(1, 2) @ left[:, :2]
+    separators = _condensed_solver(schur, -up[1:] @ left[:, -2:])
 
     def solve(Y: np.ndarray) -> np.ndarray:
-        X = forward(Y.reshape(cells, 2, -1))
-        return backward(X[::-1])[::-1].reshape(Y.shape)
+        Z = np.zeros((C, 2 * L, Y.size // (2 * N)))
+        Z.reshape(2 * C * L, -1)[: 2 * N] = Y.reshape(2 * N, -1)
+        Z[:, :-2] = interior @ Z[:, :-2]
+        Z[:, -2:] -= up @ Z[:, -4:-2]
+        Z[:-1, -2:] -= down.swapaxes(1, 2) @ Z[1:, :2]
+        Z[:, -2:] = separators(Z[:, -2:])
+        Z[:, :-2] -= right @ Z[:, -2:]
+        Z[1:, :-2] -= left @ Z[:-1, -2:]
+        return Z.reshape(2 * C * L, -1)[: 2 * N].reshape(Y.shape)
 
     return solve
 
@@ -325,8 +322,10 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     blocks = X.swapaxes(2, 3) / 2 @ block
     periodic = config.bc is BoundaryCondition.PERIODIC
     if config.dim == 1 and not periodic:
+        k = np.arange(len(blocks))[:, None]  # K's diagonal blocks and K[k+1, k]
+        diag, sub = blocks[targets == k], blocks[targets == k + 1]
         try:
-            coarse_solve = _block_tridiagonal_solver(blocks, targets)
+            coarse_solve = _condensed_solver(diag, sub)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     else:

@@ -1,5 +1,8 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -89,6 +92,7 @@ def test_gmres_sweep(tmp_path):
     assert lines[0] == "J,preset,iterations,final_relres"
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 4
+    assert all(re.fullmatch(r"\d\.\d{3}e[+-]\d{2}", r[3]) for r in rows)  # as on stdout
     iters = {(r[1], r[0]): int(r[2]) for r in rows}
     assert iters[("clustering", "16")] == iters[("clustering", "32")]
     for J in ("16", "32"):
@@ -266,3 +270,12 @@ def test_preset_resolution(clustering_triple):
     np.testing.assert_allclose(cl.as_tuple(), clustering_triple.as_tuple(), atol=1e-8)
     with pytest.raises(KeyError):
         cli.preset_params("nope")
+
+
+def test_importing_dgml_loads_no_scipy():
+    # scipy costs about 28 MB of resident memory at import; the runtime is
+    # numpy only, and an optional scipy path must import it lazily
+    code = "import sys, dgml, dgml.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # the dgml under test
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from dgml.discretization import (
     dense_cap,
 )
 from dgml.twolevel import (
+    _CHUNK,
     MethodParams,
     Prolongation,
     SingularCoarseError,
@@ -26,7 +27,7 @@ from dgml.twolevel import (
     prolongation_matrix,
     smoother_scale,
 )
-from dgml import lfa
+from dgml import lfa, twolevel
 from helpers import coarse_operator, deflate_constant, dense_two_level, prolongation_loop, sipg_1d_loop
 
 PER = BoundaryCondition.PERIODIC
@@ -348,9 +349,10 @@ def test_preconditioner_matrix_is_1d_only():
         preconditioner_matrix(ops)
 
 
-def test_dirichlet_coarse_inverse_pivots(monkeypatch):
-    # the 1D Dirichlet set-up inverts only its J/2 pivot blocks of size 2x2;
-    # a singular pivot surfaces as SingularCoarseError
+def test_dirichlet_coarse_inverses_are_chunk_sized(monkeypatch):
+    # the 1D Dirichlet set-up inverts nothing with more than 2 _CHUNK rows,
+    # up to the size cap; a LinAlgError at any of its inv calls surfaces as
+    # SingularCoarseError
     inv, shapes = np.linalg.inv, []
 
     def recording_inv(a, fail_at=None):
@@ -359,15 +361,37 @@ def test_dirichlet_coarse_inverse_pivots(monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
         return inv(a)
 
-    cfg, params = DiscretizationConfig(8, 2.0, DIR), MethodParams(0.9, 2.0, 0.5)
-    monkeypatch.setattr(np.linalg, "inv", recording_inv)
-    build_two_level(cfg, params)
-    assert shapes == [(2, 2)] * 4
-    shapes.clear()
-    monkeypatch.setattr(np.linalg, "inv", lambda a: recording_inv(a, fail_at=3))
-    with pytest.raises(SingularCoarseError):
+    params = MethodParams(0.9, 2.0, 0.5)
+    for J in (8, 2 * _CHUNK + 2, 2048):
+        cfg = DiscretizationConfig(J, 2.0, DIR)
+        shapes.clear()
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
         build_two_level(cfg, params)
-    assert shapes == [(2, 2)] * 3
+        calls = len(shapes)
+        assert calls >= 1 and all(max(shape[-2:]) <= 2 * _CHUNK for shape in shapes)
+        for fail_at in range(1, calls + 1):
+            shapes.clear()
+            monkeypatch.setattr(np.linalg, "inv", lambda a: recording_inv(a, fail_at=fail_at))
+            with pytest.raises(SingularCoarseError):
+                build_two_level(cfg, params)
+            assert len(shapes) == fail_at
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 5])
+def test_condensation_recursion_levels(monkeypatch, chunk):
+    # small chunks give up to seven condensation levels well below the size
+    # cap, and a level boundary at chunk**3: each solve against R A P by
+    # backward error, for a matrix and a vector
+    monkeypatch.setattr(twolevel, "_CHUNK", chunk)
+    params = MethodParams(0.9, 1.01, 0.99)
+    for cells in (chunk**3 - 1, chunk**3, chunk**3 + 1, 200):
+        cfg = DiscretizationConfig(2 * cells, params.penalty, DIR)
+        ops, K = build_two_level(cfg, params), coarse_operator(cfg, params)
+        Y = np.random.default_rng(cells).standard_normal((len(K), 3))
+        for y in (Y, Y[:, 0]):
+            X = ops.coarse_solve(y)
+            assert X.shape == y.shape
+            assert infinity_norm(K @ X - y) / (infinity_norm(K) * infinity_norm(X)) < 1e-13
 
 
 def infinity_norm(M):
@@ -375,7 +399,7 @@ def infinity_norm(M):
 
 
 def test_dirichlet_coarse_solve_backward_error(clustering_triple):
-    # the block LDL^T solve at the default size cap, for a matrix and a
+    # the condensed solve at the default size cap, for a matrix and a
     # vector: ||K X - Y|| / (||K|| ||X||) in the infinity norm
     cfg = DiscretizationConfig(2048, clustering_triple.penalty, DIR)
     ops, K = build_two_level(cfg, clustering_triple), coarse_operator(cfg, clustering_triple)
@@ -389,13 +413,22 @@ def test_dirichlet_coarse_solve_backward_error(clustering_triple):
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(cells=st.one_of(st.integers(1, 3), st.integers(4, 1024)), alpha=ALPHA, penalty=PENALTY, c=DISCONTINUITY)
 @example(cells=1024, alpha=0.9, penalty=2.0, c=0.5)  # the size cap, J = 2048
-@example(cells=27, alpha=0.9, penalty=1.01, c=0.99)  # 27 rows: chunks of 5, the last one of 2
+# the condensation's boundaries: one dense inverse up to _CHUNK block rows,
+# one level of chunks up to _CHUNK**2, two levels beyond (past the size cap)
+@example(cells=_CHUNK - 1, alpha=0.9, penalty=1.01, c=0.99)
+@example(cells=_CHUNK, alpha=0.9, penalty=1.01, c=0.99)
+@example(cells=_CHUNK + 1, alpha=0.9, penalty=1.01, c=0.99)
+@example(cells=_CHUNK**2, alpha=0.9, penalty=1.01, c=0.99)
+@example(cells=_CHUNK**2 + 1, alpha=0.9, penalty=1.01, c=0.99)
 def test_chunked_dirichlet_solves_match_oracles(cells, alpha, penalty, c):
-    # the chunked LDL^T sweeps run on J/2 block rows, in chunks of
-    # isqrt(J/2) rows; for a matrix and a vector, the coarse solve against
-    # R A P by backward error and M^{-1} against the dense products
+    # the condensation runs on J/2 block rows, in chunks of _CHUNK rows; for
+    # a matrix and a vector, the coarse solve against R A P by backward
+    # error and M^{-1} against the dense products
     cfg, params = DiscretizationConfig(2 * cells, penalty, DIR), MethodParams(alpha, penalty, c)
-    ops, K = build_two_level(cfg, params), coarse_operator(cfg, params)
+    with pytest.MonkeyPatch.context() as patch:  # the examples past the size cap
+        patch.setenv("DGML_DENSE_CAP", str(max(dense_cap(), cfg.ndof)))
+        ops = build_two_level(cfg, params)
+    K = coarse_operator(cfg, params)
     rng = np.random.default_rng(cells)
     Y, G = rng.standard_normal((len(K), 3)), rng.standard_normal((cfg.ndof, 3))
     for y in (Y, Y[:, 0]):
@@ -508,6 +541,17 @@ def test_dirichlet_setup_and_preconditioner_allocate_no_extra_dense_arrays(clust
     assert peak <= dense.nbytes + 8 * n * m + 2**20
     E, peak = traced_peak(error_matrix, ops)
     assert peak <= 2 * E.nbytes + 2**21
+
+
+def test_dirichlet_setup_memory_grows_linearly(monkeypatch, clustering_triple):
+    # the condensation holds O(J) entries: 4x the cells, at most 4.5x the
+    # set-up's traced peak
+    monkeypatch.setenv("DGML_DENSE_CAP", str(2**16))
+    peaks = [
+        traced_peak(build_two_level, DiscretizationConfig(J, clustering_triple.penalty, DIR), clustering_triple)[1]
+        for J in (4096, 16384)
+    ]
+    assert peaks[1] <= 4.5 * peaks[0]
 
 
 def test_2d_dirichlet_setup_allocates_no_extra_dense_arrays(clustering_triple):
