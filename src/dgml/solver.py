@@ -27,16 +27,6 @@ class SolveReport:
     contraction: float = math.nan
 
 
-def _back_substitution(U: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve U y = g for upper-triangular U."""
-    if not np.all(np.diag(U)):
-        raise np.linalg.LinAlgError("Singular matrix")
-    y = np.zeros(len(g))
-    for i in reversed(range(len(g))):
-        y[i] = (g[i] - U[i, i + 1 :] @ y[i + 1 :]) / U[i, i]
-    return y
-
-
 def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -> SolveReport:
     """Left-preconditioned GMRES, no restarts, modified Gram-Schmidt.
 
@@ -103,7 +93,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
         if happy:
             break
 
-    y = _back_substitution(H[:m, :m], g[:m])
+    y = np.linalg.solve(H[:m, :m], g[:m])  # H[:m, :m] is upper triangular
     x = y @ V[:m]
     true_res = float(np.linalg.norm(b - apply_A(x)))
     return SolveReport(m, history, converged, x, true_res)

@@ -38,6 +38,11 @@ dense 2D inverse costs O(m^6).  Periodic A0 is singular with the constant
 vector as kernel; the solve drops the constant eigenvector, which gives the
 pseudo-inverse.
 The 1D M^{-1} is an operator too (Preconditioner).
+
+Every product along grid axes is one kernel: _tiled(block, X) is
+kron(I, block) @ X along axis 0, and _on_grid applies it along each grid
+axis.  It applies P (the 4x2 block), P^T (its transpose) and, in the fast
+diagonalization, the tiling of M^{-1/2} and the eigenvectors V (one tile).
 """
 
 from __future__ import annotations
@@ -113,31 +118,40 @@ def _block_matrix(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_prolongation(X: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """X @ P1 for the 1D prolongation P1 = kron(I, block), in O(X.size); X
-    is a row vector or a stack of rows."""
-    lead = X.shape[:-1]
-    return (X.reshape(*lead, -1, 4) @ block).reshape(*lead, -1)
+def _tiled(block: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """kron(I, block) @ X along axis 0 of X, in O(X.size) per block row:
+    one GEMM on the rows of a vector, one batched product for an array."""
+    k = block.shape[1]
+    if X.ndim == 1:
+        return (X.reshape(-1, k) @ block.T).ravel()
+    return (block @ X.reshape(len(X) // k, k, -1)).reshape(-1, *X.shape[1:])
 
 
-def _prolongate(block: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """P1 @ X for the 1D prolongation P1 = kron(I, block), in O(X.size); X
-    is a vector or a matrix."""
-    return (block @ X.reshape(X.shape[0] // 2, 2, -1)).reshape(-1, *X.shape[1:])
+def _on_grid(block: np.ndarray, Y: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """The tiling of block applied along each axis of the n^dim grid of Y,
+    a vector or a stack of columns: kron(I, block) in 1D, its Kronecker
+    square in 2D."""
+    if dim == 1:  # the grid is Y itself
+        return _tiled(block, Y)
+    X = Y.reshape(n, n, *Y.shape[1:])
+    for _ in range(dim):  # axis 0 each time round, then axes 0 and 1 swap
+        X = _tiled(block, X).swapaxes(0, 1)
+    return X.reshape(-1, *Y.shape[1:])
 
 
-def _stencil_times_prolongation(A: SystemOperator, block: np.ndarray):
-    """A1 @ P1 from the ELL stencil of A, by coarse cell: (X, targets) with
-    X[k, t] the 4x2 block in the rows of cell k and the columns of cell
-    targets[k, t], one slot t per distinct cell among k-1, k, k+1 (mod J/2);
-    the other blocks are zero.  Each entry is the dense product's 4-term sum."""
+def _coarse_blocks(A: SystemOperator, block: np.ndarray):
+    """K = P1^T A1 P1 / 2 from the ELL stencil of A, by coarse cell:
+    (blocks, targets) with blocks[k, t] the 2x2 block of K at block row
+    targets[k, t] and block column k, one slot t per distinct cell among
+    k-1, k, k+1 (mod J/2); the other blocks are zero.  Associated as the
+    dense R A P, (A1 P1)^T / 2 @ P1, so each entry rounds as it does."""
     cols, vals = A.cols, A.weights
     cells, rows = len(cols) // 4, np.arange(len(cols))[:, None]
     slot = (cols // 4 - rows // 4 + 1) % cells
     band = np.zeros((cells, min(3, cells), 4, 4))  # [k, t] = A1's 4x4 block
     np.add.at(band, (rows // 4, slot, rows % 4, cols % 4), vals)
     k = np.arange(cells)[:, None]
-    return band @ block, (k + np.arange(band.shape[1]) - 1) % cells
+    return (band @ block).swapaxes(2, 3) / 2 @ block, (k + np.arange(band.shape[1]) - 1) % cells
 
 
 def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
@@ -148,11 +162,7 @@ def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
     dof ordering is cell-major in both cases.  2D: Kronecker product of the
     1D operator with itself.
     """
-    J = config.cells_per_dim
-    if J % 2 != 0:
-        raise ConfigError(f"prolongation needs an even cell count, got {J}")
-    cells = J // 2  # kron(eye(cells), block)
-    P = _block_matrix(np.broadcast_to(_prolongation_block(c), (cells, 1, 4, 2)), np.arange(cells)[:, None])
+    P = np.kron(np.eye(config.cells_per_dim // 2), _prolongation_block(c))
     return np.kron(P, P) if config.dim == 2 else P
 
 
@@ -168,12 +178,7 @@ class Prolongation:
         self.shape = (config.ndof, config.ndof // 2**config.dim)
 
     def __matmul__(self, Y) -> np.ndarray:
-        Y = np.asarray(Y)
-        dim = self.config.dim
-        X = Y.reshape(*(self.config.cells_per_dim,) * dim, *Y.shape[1:])  # the coarse grid axes first
-        for _ in range(dim):  # P1 on axis 0, then the axes swap round
-            X = _prolongate(self.block, X).swapaxes(0, dim - 1)
-        return X.reshape(-1, *Y.shape[1:])
+        return _on_grid(self.block, np.asarray(Y), self.config.cells_per_dim, self.config.dim)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         check_dense_cap(self.shape[0])
@@ -186,13 +191,14 @@ class TwoLevelOperators:
     smoother inverse is the scalar smoother_scale times the identity.
 
     A and P are structured: A @ X and P @ Y cost O(size) from the 1D
-    stencil and the 4x2 prolongation block, and no fine-grid matrix is
-    stored; np.asarray densifies them, under the dense cap, for the dense
-    oracles.  The restriction is not stored: it is P^T / 2^dim.  Nor is
-    the coarse operator A0 = R A P: coarse_solve maps Y to A0^{-1} Y (the
-    pseudo-inverse when periodic) for a vector or a matrix Y and holds at
-    most m x m arrays (the 1D Dirichlet chunk inverses or the eigenvectors
-    of the pair (K, M)), never A0 or a dense inverse of it.
+    stencil and the 4x2 prolongation block (P and P^T through _on_grid),
+    and no fine-grid matrix is stored; np.asarray densifies them, under
+    the dense cap, for the dense oracles.  The restriction is not stored:
+    it is P^T / 2^dim.  Nor is the coarse operator A0 = R A P: coarse_solve
+    maps Y to A0^{-1} Y (the pseudo-inverse when periodic) for a vector or
+    a matrix Y and holds at most m x m arrays (the 1D Dirichlet chunk
+    inverses or the eigenvectors of the pair (K, M)), never A0 or a dense
+    inverse of it.
     """
 
     config: DiscretizationConfig
@@ -284,22 +290,18 @@ def _fast_diagonal_solver(K: np.ndarray, M_block: np.ndarray, dim: int, periodic
     """
     w, U = np.linalg.eigh(M_block)
     root = U / np.sqrt(w) @ U.T  # M^{-1/2} is its tiling, applied by 2x2 blocks
-    mu, W = np.linalg.eigh(_prolongate(root, _prolongate(root, K.T).T))
-    V, m = _prolongate(root, W), len(K)
-    eigs = mu if dim == 1 else np.add.outer(mu, mu)
-    kept = eigs.ravel()[int(periodic):]
+    mu, W = np.linalg.eigh(_tiled(root, _tiled(root, K.T).T))
+    V, m = _tiled(root, W), len(K)  # V is one m x m tile
+    eigs = (mu if dim == 1 else np.add.outer(mu, mu)).ravel()
+    kept = eigs[int(periodic):]
     if not kept.min() > 1e-10 * eigs.max():
         raise SingularCoarseError(f"coarse eigenvalue {kept.min():.3e}, largest {eigs.max():.3e}")
     inverse = np.zeros_like(eigs)
-    inverse.flat[int(periodic):] = 1.0 / kept
-
-    def each_axis(B: np.ndarray, X: np.ndarray) -> np.ndarray:
-        X = (B @ X.reshape(m, -1)).reshape(X.shape)
-        return B @ X if dim == 2 else X  # the 2D second axis, batched over the first
+    inverse[int(periodic):] = 1.0 / kept
 
     def solve(Y: np.ndarray) -> np.ndarray:
-        X = each_axis(V.T, Y.reshape(*eigs.shape, -1)) * inverse[..., None]
-        return each_axis(V, X).reshape(Y.shape)
+        X = (_on_grid(V.T, Y, m, dim).T * inverse).T  # scales the rows of X
+        return _on_grid(V, X, m, dim)
 
     return solve
 
@@ -315,11 +317,7 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     s = smoother_scale(config, params)
     check_dense_cap(config.ndof)  # the same limit as np.asarray of A and P
     A, P = SystemOperator(config), Prolongation(config, params.discontinuity)
-    block = P.block
-    # K = (R1 A1) P1 with R1 A1 = (A1 P1)^T / 2, associated as the dense R A P,
-    # by its 2x2 blocks at block row targets[k, t] and block column k
-    X, targets = _stencil_times_prolongation(A, block)
-    blocks = X.swapaxes(2, 3) / 2 @ block
+    blocks, targets = _coarse_blocks(A, P.block)
     periodic = config.bc is BoundaryCondition.PERIODIC
     if config.dim == 1 and not periodic:
         k = np.arange(len(blocks))[:, None]  # K's diagonal blocks and K[k+1, k]
@@ -331,7 +329,7 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     else:
         # 1D: the pair (K, I) keeps the eigenvectors orthonormal, so the 1D
         # pseudo-inverse rounds as the dense one does; 2D: M = P1^T P1 / 2
-        M_block = np.eye(2) if config.dim == 1 else block.T @ block / 2
+        M_block = np.eye(2) if config.dim == 1 else P.block.T @ P.block / 2
         coarse_solve = _fast_diagonal_solver(_block_matrix(blocks, targets), M_block, config.dim, periodic)
     return TwoLevelOperators(config, params, A, s, P, coarse_solve)
 
@@ -361,15 +359,12 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
     then the coarse correction of its residual, for a vector or a stack of
-    columns g (preconditioner_matrix(ops) @ g in 1D); P^T acts by its 4x2
-    blocks, in 2D on each axis of the (2J, 2J) grid."""
+    columns g (preconditioner_matrix(ops) @ g in 1D); P^T is _on_grid with
+    the transposed 4x2 block, on each axis of the fine grid."""
     x = ops.params.alpha * ops.smoother_scale * g
-    r = g - ops.A @ x
-    dim = ops.config.dim
-    C = r.reshape(*(2 * ops.config.cells_per_dim,) * dim, *r.shape[1:])
-    for _ in range(dim):  # P^T = P1^T (x) P1^T, axis 0 each time round
-        C = _times_prolongation(C.T, ops.P.block).T.swapaxes(0, dim - 1)
-    return x + ops.P @ ops.coarse_solve(C.reshape(-1, *r.shape[1:]) / 2**dim)
+    r, dim = g - ops.A @ x, ops.config.dim
+    C = _on_grid(ops.P.block.T, r, 2 * ops.config.cells_per_dim, dim) / 2**dim
+    return x + ops.P @ ops.coarse_solve(C)
 
 
 def _dense(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:

@@ -171,11 +171,13 @@ def test_apply_preconditioner_matches_dense_formula(bc):
     cfg = DiscretizationConfig(8, 1.9, bc)
     params = MethodParams(0.77, 1.9, 0.33)
     ops = build_two_level(cfg, params)
-    Minv = preconditioner_matrix(ops)
+    Minv = dense_two_level(cfg, params).Minv
     rng = np.random.default_rng(1)
-    g = rng.standard_normal(16)
-    y = apply_preconditioner(ops, g)
-    np.testing.assert_allclose(y, Minv @ g, atol=1e-12 * np.abs(Minv @ g).max())
+    G = rng.standard_normal((16, 2))
+    for g in (G, G[:, 0]):  # a stack of columns and a vector
+        y = apply_preconditioner(ops, g)
+        assert y.shape == g.shape
+        np.testing.assert_allclose(y, Minv @ g, atol=1e-12 * np.abs(Minv @ g).max())
 
 
 @pytest.mark.parametrize("bc", [DIR, PER])
