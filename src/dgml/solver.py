@@ -40,63 +40,48 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
         raise ValueError("right-hand side must be nonzero")
     if apply_M is None:
         apply_M = lambda v: v
-    n = b.size
     if max_iter is None:
-        max_iter = n
+        max_iter = b.size
     r0 = apply_M(b)
     beta = float(np.linalg.norm(r0))
     history = [beta]
     if beta == 0.0:
-        return SolveReport(0, history, False, np.zeros(n), float(np.linalg.norm(b)))
+        return SolveReport(0, history, False, np.zeros_like(b), float(np.linalg.norm(b)))
 
-    cap = min(max_iter, 32)  # Arnoldi steps V and H hold; doubled when reached
-    V = np.zeros((cap + 1, n))  # basis as rows
-    H = np.zeros((cap + 1, cap))
-    cs = np.zeros(max_iter)
-    sn = np.zeros(max_iter)
-    g = np.zeros(max_iter + 1)
-    V[0] = r0 / beta
-    g[0] = beta
-
+    basis = [r0 / beta]  # Krylov basis as rows
+    columns = []  # rotated Hessenberg column j, length j + 1
+    cs, sn, g = [], [], [beta]
     converged = False
-    m = 0
     for j in range(max_iter):
-        if j == cap:
-            grow = min(cap, max_iter - cap)
-            V = np.pad(V, ((0, grow), (0, 0)))
-            H = np.pad(H, ((0, grow), (0, grow)))
-            cap += grow
-        w = apply_M(apply_A(V[j]))
+        w = apply_M(apply_A(basis[j]))
+        h = np.empty(j + 2)
         for i in range(j + 1):  # modified Gram-Schmidt
-            H[i, j] = V[i] @ w
-            w = w - H[i, j] * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
-        happy = H[j + 1, j] <= 1e-14 * beta
+            h[i] = basis[i] @ w
+            w = w - h[i] * basis[i]
+        h[j + 1] = np.linalg.norm(w)
+        happy = h[j + 1] <= 1e-14 * beta
         if not happy:
-            V[j + 1] = w / H[j + 1, j]
+            basis.append(w / h[j + 1])
         for i in range(j):  # apply stored rotations to the new column
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        denom = math.hypot(H[j, j], H[j + 1, j])
-        cs[j] = H[j, j] / denom if denom else 1.0
-        sn[j] = H[j + 1, j] / denom if denom else 0.0
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+        denom = math.hypot(h[j], h[j + 1])
+        cs.append(h[j] / denom)
+        sn.append(h[j + 1] / denom)
+        h[j] = denom
+        columns.append(h[: j + 1])
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
-        m = j + 1
         history.append(abs(g[j + 1]))
-        if abs(g[j + 1]) <= tol * beta:
-            converged = True
-            break
-        if happy:
+        converged = bool(history[-1] <= tol * beta)
+        if converged or happy:
             break
 
-    y = np.linalg.solve(H[:m, :m], g[:m])  # H[:m, :m] is upper triangular
-    x = y @ V[:m]
-    true_res = float(np.linalg.norm(b - apply_A(x)))
-    return SolveReport(m, history, converged, x, true_res)
+    m = len(columns)
+    R = np.zeros((m, m))  # upper-triangular factor of the Hessenberg matrix
+    for j, column in enumerate(columns):
+        R[: j + 1, j] = column
+    x = np.linalg.solve(R, g[:m]) @ np.array(basis)[:m]
+    return SolveReport(m, history, converged, x, float(np.linalg.norm(b - apply_A(x))))
 
 
 def stationary_solve(
@@ -110,34 +95,25 @@ def stationary_solve(
 ) -> SolveReport:
     """Stationary two-level iteration u <- u + M(b - A u).
 
-    project, when given, restricts iterates and residuals to a subspace
-    (kernel deflation for singular periodic systems).  The contraction
-    field estimates the asymptotic residual reduction factor from the last
-    iterations (geometric mean, which averages out equioscillation).
+    project (the identity by default) restricts iterates and residuals to a
+    subspace (kernel deflation for singular periodic systems).  The
+    contraction field estimates the asymptotic residual reduction factor from
+    the last iterations (geometric mean, which averages out equioscillation).
     """
-    b = np.asarray(b, dtype=float)
-    if project is not None:
-        b = project(b)
-    u = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if project is not None:
-        u = project(u)
+    if project is None:
+        project = lambda v: v
+    b = project(np.asarray(b, dtype=float))
+    u = project(np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy())
     bnorm = float(np.linalg.norm(b))
     ref = bnorm if bnorm > 0 else 1.0
 
-    def residual(u):
-        r = b - apply_A(u)
-        return project(r) if project is not None else r
-
-    r = residual(u)
+    r = project(b - apply_A(u))
     history = [float(np.linalg.norm(r))]
     converged = history[0] <= tol * ref
-    iterations = 0
-    grow = 0
+    iterations = grow = 0
     while not converged and iterations < max_iter:
-        u = u + apply_M(r)
-        if project is not None:
-            u = project(u)
-        r = residual(u)
+        u = project(u + apply_M(r))
+        r = project(b - apply_A(u))
         history.append(float(np.linalg.norm(r)))
         iterations += 1
         if history[-1] <= tol * ref:
