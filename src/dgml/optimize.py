@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lfa, spectrum
-from .discretization import DiscretizationConfig
+from .discretization import ConfigError, DiscretizationConfig
 from .twolevel import MethodParams
 
 # quartics whose bracketed real roots give the clustering parameters,
@@ -116,8 +116,6 @@ def solve_clustering_system(
     """Damped Newton on the clustering system with finite-difference
     Jacobian; raises NewtonDivergenceError with the last iterate if the
     residual cannot be driven below tol."""
-    from .discretization import ConfigError
-
     x = np.array(initial.as_tuple(), dtype=float)
     fx = clustering_residuals(*x)
     for it in range(max_iter):

@@ -27,15 +27,27 @@ class SolveReport:
     contraction: float = math.nan
 
 
+def _checked(b, tol, max_iter) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    if not 0 <= tol < math.inf:  # NaN too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    return b
+
+
 def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -> SolveReport:
     """Left-preconditioned GMRES, no restarts, modified Gram-Schmidt.
 
     Minimizes the preconditioned residual over the full Krylov space with
     zero initial guess; stops when it drops below tol relative to the
     initial one.  A happy breakdown (invariant subspace reached) returns
-    converged=True only if the tolerance is met at that point.
+    converged=True only if the tolerance is met at that point; a zero rotated
+    column (singular operator) adds nothing and ends at the previous iterate.
     """
-    b = np.asarray(b, dtype=float)
+    b = _checked(b, tol, max_iter)
     if not np.any(b):
         raise ValueError("right-hand side must be nonzero")
     if apply_M is None:
@@ -65,6 +77,8 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
         for i in range(j):  # apply stored rotations to the new column
             h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
         denom = math.hypot(h[j], h[j + 1])
+        if denom == 0.0:
+            break
         cs.append(h[j] / denom)
         sn.append(h[j + 1] / denom)
         h[j] = denom
@@ -102,10 +116,9 @@ def stationary_solve(
     """
     if project is None:
         project = lambda v: v
-    b = project(np.asarray(b, dtype=float))
+    b = project(_checked(b, tol, max_iter))
     u = project(np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy())
-    bnorm = float(np.linalg.norm(b))
-    ref = bnorm if bnorm > 0 else 1.0
+    ref = float(np.linalg.norm(b)) or 1.0  # a zero b is measured absolutely
 
     r = project(b - apply_A(u))
     history = [float(np.linalg.norm(r))]

@@ -72,7 +72,7 @@ def test_gmres_max_iter_exceeded():
 
 
 def test_gmres_storage_grows_with_the_iterations():
-    # the basis is reserved in chunks, not as max_iter = n rows up front
+    # the basis grows by one row per step, not as max_iter = n rows up front
     n = 10_000
     b = np.linspace(1.0, 2.0, n)
     tracemalloc.start()
@@ -86,14 +86,50 @@ def test_gmres_storage_grows_with_the_iterations():
 
 
 def test_gmres_past_several_storage_chunks():
-    # 100 distinct eigenvalues need about 100 iterations: the storage grows
-    # from 32 to 64 to 100 rows
+    # 100 distinct eigenvalues need about 100 iterations: the basis and the
+    # rotated Hessenberg columns grow to 100 entries, one per step
     d = np.linspace(1.0, 1e3, 100)
     b = np.random.default_rng(3).standard_normal(100)
     rep = gmres(lambda v: d * v, None, b, tol=1e-13)
     assert rep.converged and rep.iterations > 64
     np.testing.assert_allclose(rep.solution, b / d, rtol=1e-8)
     assert np.all(np.diff(rep.residual_history) <= 1e-12 * rep.residual_history[0])
+
+
+def test_gmres_breakdown_on_singular_operator():
+    # step 2's rotated column is exactly zero: it adds nothing to the Krylov
+    # space, so the solve ends at step 1's iterate instead of claiming
+    # convergence and factoring a singular triangle
+    A = np.diag([1.0, 0.0])
+    rep = gmres(lambda v: A @ v, None, np.array([1.0, 1.0]))
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert rep.residual_history == pytest.approx([np.sqrt(2.0), 1.0])
+    assert rep.true_residual == pytest.approx(1.0)
+    np.testing.assert_allclose(A @ rep.solution, [1.0, 0.0], atol=1e-14)
+
+
+BAD_INPUTS = [
+    ({"b": np.array([1.0, np.nan, 1.0])}, "b"),
+    ({"b": np.array([1.0, np.inf, 1.0])}, "b"),
+    ({"tol": np.nan}, "tol"),
+    ({"tol": -1e-8}, "tol"),
+    ({"tol": np.inf}, "tol"),
+    ({"max_iter": -1}, "max_iter"),
+]
+
+
+def solve_diagonal(solve, bad):
+    # a Jacobi-preconditioned diagonal system: exact after one step
+    d = np.array([1.0, 2.0, 3.0])
+    args = {"b": np.ones(3)} | bad
+    return solve(lambda v: d * v, lambda v: v / d, args.pop("b"), **args)
+
+
+@pytest.mark.parametrize("bad, name", BAD_INPUTS)
+def test_gmres_rejects_bad_inputs(bad, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        solve_diagonal(gmres, bad)
 
 
 def test_gmres_preconditioned_agrees_with_direct(clustering_triple):
@@ -133,9 +169,12 @@ def test_stationary_exact_initial_guess():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((12, 12)) + 12 * np.eye(12)
     x = rng.standard_normal(12)
+    x_before = x.copy()
     rep = stationary_solve(lambda v: A @ v, lambda v: np.linalg.solve(A, v), A @ x, x0=x)
     assert rep.iterations == 0
     assert rep.converged
+    assert rep.solution is not x
+    np.testing.assert_array_equal(x, x_before)
 
 
 def test_stationary_agrees_with_gmres_and_direct(classical_params):
@@ -171,6 +210,12 @@ def test_stationary_contraction_matches_dense_radius():
     rep = stationary_solve(apply_A, apply_M, b, tol=1e-12, max_iter=400)
     assert rep.converged
     assert abs(rep.contraction - rho) < 0.01
+
+
+@pytest.mark.parametrize("bad, name", BAD_INPUTS)
+def test_stationary_rejects_bad_inputs(bad, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        solve_diagonal(stationary_solve, bad)
 
 
 def test_stationary_reports_divergence():
