@@ -5,10 +5,13 @@ mesh reflection splits them into even and odd halves, the nonzero spectrum
 follows from the coarse-space complement identity (see
 ``two_level_error_eigenvalues``), and the 2D inverse is applied by
 tensor-product fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964).  Periodic error spectra are the union of the Fourier block symbols'
-eigenvalues (``lfa.error_spectrum_symbols``), in 2D the Kronecker products
-of the 1D blocks.  Neither path assembles an operator of size ndof; the
-dense eigensolve of the assembled operator is the oracle the tests compare
+1964).  Each 2D Gram block is built from the 1D factors by two GEMMs, and
+the swap of the square's axes splits the blocks that pair a half with
+itself in two (Bossavit, CMAME 56, 1986).  Periodic error spectra are the
+union of the Fourier block symbols' eigenvalues
+(``lfa.error_spectrum_symbols``), in 2D the Kronecker products of the 1D
+blocks.  Neither path assembles an operator of size ndof; the dense
+eigensolve of the assembled operator is the oracle the tests compare
 against.
 """
 
@@ -156,13 +159,16 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
       odd halves (``_mirror_halves``).  In 2D, A = A1 (x) I + I (x) A1 and
       P = P1 (x) P1 split into the four Kronecker blocks ee, eo, oe, oo;
       eo and oe are the same operator up to swapping the tensor factors,
-      so eo is computed once and counted twice.
+      so eo is computed once and counted twice, and ee and oo commute with
+      that swap, so each splits into its symmetric and antisymmetric parts
+      (``_kronecker_grams``).
     * Fast diagonalization.  In a block with halves (a, b), A_a = V_a
-      diag(lam_a) V_a^T, A^{-1} = (V_a (x) V_b) diag(1/(lam_a + lam_b))
-      (V_a (x) V_b)^T, and N = [Q_a (x) N_b, N_a (x) Q_b, N_a (x) N_b] with
-      [Q | N] the complete QR factor of the half-size prolongation.  So
-      N^T A^{-1} N is assembled from half-size factors only; in 1D the
-      block is N^T A_a^{-1} N.
+      diag(lam_a) V_a^T and A^{-1} = (V_a (x) V_b) diag(1/(lam_a + lam_b))
+      (V_a (x) V_b)^T.  With [Q | N] the complete QR factor of the half-size
+      prolongation, U = V^T [Q | N], N^T A^{-1} N is (U_a (x) U_b)^T
+      diag(1/(lam_a + lam_b)) (U_a (x) U_b) less its coarse x coarse rows
+      and columns: two GEMMs of O(J^5) flops on the squared columns of U_a
+      and U_b.  In 1D the block is N^T A_a^{-1} N.
 
     No operator of size ndof is assembled on either path.
     """
@@ -173,26 +179,48 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
         eigs[np.argmin(np.abs(eigs[: 4**config.dim] - 1.0))] = 0.0
         return eigs
     line = config.with_dim(1)
-    halves = []  # per mirror half: eig(A_h) and its coarse/complement bases in A_h's eigenbasis
+    halves = []  # per mirror half: eig(A_h) and U = V^T [Q | N], V its eigenvectors
     for A_h, P_h in zip(
         _mirror_halves(assemble_1d(line)),
         _mirror_halves(prolongation_matrix(line, params.discontinuity)),
     ):
         lam, V = np.linalg.eigh(A_h)
         QN, _ = np.linalg.qr(P_h, mode="complete")
-        m = P_h.shape[1]
-        halves.append((lam, V.T @ QN[:, :m], V.T @ QN[:, m:]))
+        halves.append((lam, V.T @ QN))
+    k = P_h.shape[1]  # U's coarse columns
     if config.dim == 1:
-        blocks = [(lam, N, 1) for lam, _, N in halves]
+        grams = ((U[:, k:].T @ (U[:, k:] / lam[:, None]), 1) for lam, U in halves)
     else:
-        blocks = []
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            (lam_a, Q_a, N_a), (lam_b, Q_b, N_b) = halves[a], halves[b]
-            G = np.hstack([np.kron(Q_a, N_b), np.kron(N_a, Q_b), np.kron(N_a, N_b)])
-            blocks.append((np.add.outer(lam_a, lam_b).ravel(), G, 1 if a == b else 2))
-    nonzero = np.concatenate([
-        np.tile(1.0 - alpha_s / np.linalg.eigvalsh(G.T @ (G / lam[:, None])), copies)
-        for lam, G, copies in blocks
-    ])
+        grams = (g for a, b in ((0, 0), (0, 1), (1, 1)) for g in _kronecker_grams(halves[a], halves[b], k))
+    nonzero = np.concatenate([np.tile(1.0 - alpha_s / np.linalg.eigvalsh(G), copies) for G, copies in grams])
     zeros = np.zeros(config.cells_per_dim ** config.dim)
     return np.concatenate([np.sort(nonzero), zeros]).astype(complex)
+
+
+def _kronecker_grams(half_a, half_b, k: int) -> list[tuple[np.ndarray, int]]:
+    """The Gram blocks of N^T A^{-1} N in the 2D Kronecker block of two
+    mirror halves (lam, U) with k coarse columns, and their multiplicities.
+
+    F[p, r, q, s] = sum_ij U_a[i, p] U_a[i, r] U_b[j, q] U_b[j, s] /
+    (lam_a[i] + lam_b[j]) is the entry at row (p, q) and column (r, s); the
+    rows and columns with max(p, q) >= k are kept.  Distinct halves give one
+    block, counted twice for its swapped twin.  One half twice makes F
+    commute with (p, q) <-> (q, p), and the bases (e_pq +/- e_qp)/sqrt(2),
+    p < q, and e_pp split it into F[p, r, q, s] +/- F[p, s, q, r] (the sum
+    scaled by 1/sqrt(2) per diagonal pair).  F is freed before the
+    eigensolves.
+    """
+    (lam_a, U_a), (lam_b, U_b) = half_a, half_b
+    h = len(lam_a)
+    W_a, W_b = ((U[:, :, None] * U[:, None, :]).reshape(h, h * h) for U in (U_a, U_b))
+    F = (W_a.T @ (1.0 / np.add.outer(lam_a, lam_b) @ W_b)).reshape(h, h, h, h)
+    p, q = np.triu_indices(h, 1)
+    p, q, d = p[q >= k], q[q >= k], np.arange(k, h)  # p < q and p = q, less coarse x coarse
+    if half_a is not half_b:
+        p, q = np.r_[p, q, d], np.r_[q, p, d]
+        return [(np.take(F[p, :, q, :].reshape(len(p), h * h), p * h + q, axis=1), 2)]
+    n, p, q = len(p), np.r_[p, d], np.r_[q, d]
+    rows = F[p, :, q, :].reshape(len(p), h * h)  # over (r, s)
+    same, swapped = np.take(rows, p * h + q, axis=1), np.take(rows, q * h + p, axis=1)
+    w = np.r_[np.ones(n), np.full(h - k, np.sqrt(0.5))]
+    return [((same + swapped) * w[:, None] * w, 1), (same[:n, :n] - swapped[:n, :n], 1)]

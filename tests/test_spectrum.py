@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgml.discretization import (
     BoundaryCondition,
@@ -263,14 +263,39 @@ def test_structured_path_matches_dense_oracle(dim, J, preset, classical_params, 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(
-    size=st.sampled_from([(1, J) for J in (2, 4, 8, 16, 32, 64, 128)] + [(2, 2), (2, 4), (2, 8)]),
+    size=st.sampled_from([(1, J) for J in (2, 4, 8, 16, 32, 64, 128)] + [(2, 2), (2, 4), (2, 8), (2, 16)]),
     alpha=st.floats(0.0, 1.0),
     penalty=st.floats(1.05, 4.0),
     c=st.floats(0.05, 0.95),
 )
+# the derandomized draws need not reach 2D J=16, so one seeded draw
+# (np.random.default_rng(16), rounded) always runs there
+@example(size=(2, 16), alpha=0.567, penalty=2.321, c=0.135)
 def test_structured_path_matches_dense_random_triples(size, alpha, penalty, c):
     dim, J = size
     _check_structured(DiscretizationConfig(J, penalty, DIR, dim), MethodParams(alpha, penalty, c))
+
+
+def test_structured_path_matches_dense_trace_moments_at_the_cap(clustering_triple):
+    # at 2D J=32 (ndof 4096, the default cap) a dense eigensolve of E is the
+    # slowest oracle; its first two trace moments need only E itself
+    cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR, 2)
+    eigs = spectrum.two_level_error_eigenvalues(cfg, clustering_triple).real
+    E = error_matrix(build_two_level(cfg, clustering_triple))
+    np.testing.assert_allclose(eigs.sum(), np.trace(E), rtol=1e-10)
+    np.testing.assert_allclose((eigs**2).sum(), np.einsum("ij,ji->", E, E), rtol=1e-10)
+
+
+def test_2d_dirichlet_spectrum_memory_at_the_cap(clustering_triple):
+    # at 2D J=32 the Gram tensor of one Kronecker block alone takes 8 MiB
+    cfg = DiscretizationConfig(32, clustering_triple.penalty, DIR, 2)
+    tracemalloc.start()
+    try:
+        spectrum.two_level_error_eigenvalues(cfg, clustering_triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_error_spectrum_assembles_no_full_operator(clustering_triple):
