@@ -41,7 +41,8 @@ The 1D M^{-1} is an operator too (Preconditioner).
 
 Every product along grid axes is one kernel: _tiled(block, X) is
 kron(I, block) @ X along axis 0, and _on_grid applies it along each grid
-axis.  It applies P (the 4x2 block), P^T (its transpose) and, in the fast
+axis, in 2D on two reshaped views of the grid, which no axis swap copies.
+It applies P (the 4x2 block), P^T (its transpose) and, in the fast
 diagonalization, the tiling of M^{-1/2} and the eigenvectors V (one tile).
 """
 
@@ -133,10 +134,9 @@ def _on_grid(block: np.ndarray, Y: np.ndarray, n: int, dim: int) -> np.ndarray:
     square in 2D."""
     if dim == 1:  # the grid is Y itself
         return _tiled(block, Y)
-    X = Y.reshape(n, n, *Y.shape[1:])
-    for _ in range(dim):  # axis 0 each time round, then axes 0 and 1 swap
-        X = _tiled(block, X).swapaxes(0, 1)
-    return X.reshape(-1, *Y.shape[1:])
+    X = _tiled(block, Y.reshape(n, -1))  # axis 0: the rows of an n x (n * columns) view
+    # axis 1: I (x) kron(I, block) is kron(I, block) on the flat grid rows, again a view
+    return _tiled(block, X.reshape(-1, *Y.shape[1:]))
 
 
 def _coarse_blocks(A: SystemOperator, block: np.ndarray):
