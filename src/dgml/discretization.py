@@ -107,30 +107,24 @@ class DiscretizationConfig:
         return DiscretizationConfig(self.cells_per_dim, self.penalty, self.bc, dim)
 
 
-def _couplings(n: int, delta0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The interior stencil of rows 0..n-1 as (rows, cols, values), in units
-    of 1/h^2; the columns are not wrapped, so they run from -2 to n+1."""
-    i = np.arange(n)
-    partner = np.where(i % 2 == 0, i - 1, i + 1)  # node pairs are (2m-1, 2m)
-    rows = np.tile(i, 4)
-    cols = np.concatenate([i, partner, i - 2, i + 2])
-    vals = np.repeat([delta0, 1.0 - delta0, -0.5, -0.5], n)
-    return rows, cols, vals
-
-
 def _stencil_1d(config: DiscretizationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The 1D system matrix in ELL form, (cols, weights) of shape (n, 4):
-    row i is the sum over t of weights[i, t] * x[cols[i, t]], slot 0 the
-    diagonal, the weights scaled by 1/h^2.  Columns wrap (repeated ones add:
-    at n=4 the +-2 couplings meet); the Dirichlet closure gives the couplings
-    to ghost traces weight 0 and doubles the two corner diagonals."""
-    n = 2 * config.cells_per_dim
-    _, cols, vals = _couplings(n, config.penalty)  # stacked by slot, so no sort
+    row i is the sum over t of weights[i, t] * x[cols[i, t] % n], slot 0 the
+    diagonal, the weights scaled by 1/h^2.  The columns are not wrapped, so
+    they run from -2 to n+1 and name the cell each coupling reaches; wrapped,
+    repeated ones add (at n=4 the +-2 couplings meet).  The Dirichlet closure
+    gives the couplings to ghost traces weight 0 and doubles the two corner
+    diagonals."""
+    n, d0 = 2 * config.cells_per_dim, config.penalty
+    i = np.arange(n)
+    partner = np.where(i % 2 == 0, i - 1, i + 1)  # node pairs are (2m-1, 2m)
+    cols = np.stack([i, partner, i - 2, i + 2])  # one row per ELL slot
+    vals = np.repeat([d0, 1.0 - d0, -0.5, -0.5], n).reshape(4, n)
     if config.bc is BoundaryCondition.DIRICHLET:
         vals[(cols < 0) | (cols >= n)] = 0.0
-        vals[[0, n - 1]] += config.penalty  # the boundary-face penalty
+        vals[0, [0, n - 1]] += d0  # the boundary-face penalty
     vals *= float(config.cells_per_dim) ** 2
-    return (cols % n).reshape(4, n).T, vals.reshape(4, n).T
+    return cols.T, vals.T
 
 
 def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
@@ -141,7 +135,7 @@ def assemble_1d(config: DiscretizationConfig) -> np.ndarray:
     check_dense_cap(n)
     cols, vals = _stencil_1d(config)
     A = np.zeros((n, n))
-    np.add.at(A, (np.arange(n)[:, None], cols), vals)
+    np.add.at(A, (np.arange(n)[:, None], cols % n), vals)
     return A
 
 
@@ -173,7 +167,8 @@ class SystemOperator:
 
     def __init__(self, config: DiscretizationConfig):
         self.config, self.shape = config, (config.ndof, config.ndof)
-        self.cols, self.weights = _stencil_1d(config)
+        cols, self.weights = self._stencil = _stencil_1d(config)  # _cell_band reads it
+        self.cols = cols % len(cols)
 
     def __matmul__(self, X) -> np.ndarray:
         X = np.asarray(X)
@@ -186,6 +181,20 @@ class SystemOperator:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(assemble(self.config), dtype=dtype)
+
+
+def _cell_band(A: SystemOperator) -> np.ndarray:
+    """A's 1D matrix as a band over the J/2 coarse cells, shape
+    (J/2, 3, 4, 4): [k, t] is its block at block row k and block column
+    k+t-1 (mod J/2), coupling cell k's four fine dofs to those of its left
+    neighbour, itself and its right neighbour in fixed slots t = 0, 1, 2.
+    The slot comes from each coupling's unwrapped column, so blocks that
+    land on one place when J/2 <= 2 stay apart."""
+    cols, vals = A._stencil
+    rows = np.arange(len(cols))[:, None]
+    band = np.zeros((len(cols) // 4, 3, 4, 4))
+    np.add.at(band, (rows // 4, cols // 4 - rows // 4 + 1, rows % 4, cols % 4), vals)
+    return band
 
 
 def source_vector(config: DiscretizationConfig) -> np.ndarray:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretization import BoundaryCondition, DiscretizationConfig, _couplings
+from .discretization import BoundaryCondition, DiscretizationConfig, SystemOperator, _cell_band
 from .twolevel import MethodParams, _prolongation_block, smoother_scale
 
 
@@ -47,20 +47,13 @@ def _theta(k, J: int) -> np.ndarray:
     return 4.0 * np.pi * k / J
 
 
-def _coupling_blocks(penalty: float) -> np.ndarray:
-    """The 4x4 blocks coupling one coarse cell's four fine dofs to those of
-    the cell on its left, of itself and of the cell on its right, stacked in
-    that order; units of 1/h^2."""
-    rows, cols, vals = _couplings(4, penalty)
-    blocks = np.zeros((3, 4, 4))
-    np.add.at(blocks, (cols // 4 + 1, rows, cols % 4), vals)
-    return blocks
-
-
 def symbol_system(k, J: int, penalty: float) -> np.ndarray:
     """4x4 symbols A_- e^{-i theta} + A_0 + A_+ e^{i theta} of the system
-    matrix, from the coupling blocks of the SIPG stencil."""
-    minus, centre, plus = _coupling_blocks(penalty)
+    matrix, from the coupling blocks of one coarse cell: the band of the
+    two-cell periodic mesh, whose one cell is its own left and right
+    neighbour, with 1/h^2 = 4 divided out."""
+    A = SystemOperator(DiscretizationConfig(2, penalty, BoundaryCondition.PERIODIC))
+    minus, centre, plus = _cell_band(A)[0] / 4
     e = np.exp(1j * _theta(k, J))[..., None, None]
     return (centre + plus * e + minus * np.conj(e)) * float(J) ** 2  # 1/h^2
 
@@ -109,13 +102,7 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
     A0inv[~kernel] = np.linalg.inv(rest)
     s = smoother_scale(DiscretizationConfig(J, d0, BoundaryCondition.PERIODIC, dim), params)
     eye = np.eye(A.shape[-1])
-    # updated in place: at J in the thousands the (J/2, 4, 4) stacks are the
-    # largest temporaries
-    coarse = P @ A0inv @ RA
-    np.subtract(eye, coarse, out=coarse)
-    A *= -params.alpha * s
-    A += eye
-    return coarse @ A
+    return (eye - P @ A0inv @ RA) @ (eye - params.alpha * s * A)
 
 
 def _coefficients(alpha: float, d0: float, c: float):

@@ -276,8 +276,6 @@ def optimize_2d(
     An evaluation whose eigensolve raises LinAlgError scores +inf for the
     search and is counted in the result's failed_evals.
     """
-    if config.dim != 2:
-        config = config.with_dim(2)
     if initial is None:
         initial = clustering_parameters().params
     failed = 0

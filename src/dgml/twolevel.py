@@ -24,12 +24,13 @@ a controlled jump at the fine midpoint node.  Restriction is R = P^T / 2
 A is held as the 1D stencil in ELL form (discretization.SystemOperator) and
 P as its 4x2 block (Prolongation): both apply by `@` in O(size), and only
 np.asarray, for the dense oracles, forms a fine-grid matrix.  No set-up
-forms R A P densely either.  With K = P1^T A1 P1 / 2 (banded: block
-tridiagonal with 2x2 blocks, plus the periodic corners), scattered from the
-ELL stencil by coarse cell, the coarse operator is A0 = K in 1D and, since
-P2 = P1 (x) P1 and A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with
-M = P1^T P1 / 2 in 2D (the restriction scale cancels).  A0 is never stored:
-it lives only in the coarse solve.  The 1D Dirichlet K is factored once by
+forms R A P densely either.  K = P1^T A1 P1 / 2 (block tridiagonal with
+2x2 blocks, plus the periodic corners) is formed block by block from A1's
+band over coarse cells, discretization._cell_band, which lfa sums into its
+symbols.  The coarse operator is A0 = K in 1D and, since P2 = P1 (x) P1 and
+A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with M = P1^T P1 / 2 in 2D
+(the restriction scale cancels).  A0 is never stored: it lives only in the
+coarse solve.  The 1D Dirichlet K is factored once by
 recursive static condensation over chunks of rows (_condensed_solver), in
 O(m) set-up, memory and flops per column.  Every other coarse solve is a
 fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one
@@ -58,6 +59,7 @@ from .discretization import (
     ConfigError,
     DiscretizationConfig,
     SystemOperator,
+    _cell_band,
     check_dense_cap,
 )
 
@@ -110,13 +112,14 @@ def _prolongation_block(c: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [c, 1.0 - c], [1.0 - c, c], [0.0, 1.0]])
 
 
-def _block_matrix(blocks: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The matrix with blocks[k, t] at block row targets[k, t] and block
-    column k, zero elsewhere, written through a reshaped view of zeros."""
-    cells, _, r, c = blocks.shape
-    out = np.zeros((cells * r, cells * c))
-    out.reshape(cells, r, cells, c)[targets, :, np.arange(cells)[:, None]] = blocks
-    return out
+def _band_matrix(band: np.ndarray) -> np.ndarray:
+    """The dense matrix with band[k, t] added at block row k+t-1 (mod cells)
+    and block column k, zero elsewhere; blocks that land on one place when
+    cells <= 2 add."""
+    cells, slots, r, c = band.shape
+    out, k = np.zeros((cells, r, cells, c)), np.arange(cells)[:, None]
+    np.add.at(out, ((k + np.arange(slots) - 1) % cells, slice(None), k), band)
+    return out.reshape(cells * r, cells * c)
 
 
 def _tiled(block: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -137,21 +140,6 @@ def _on_grid(block: np.ndarray, Y: np.ndarray, n: int, dim: int) -> np.ndarray:
     X = _tiled(block, Y.reshape(n, -1))  # axis 0: the rows of an n x (n * columns) view
     # axis 1: I (x) kron(I, block) is kron(I, block) on the flat grid rows, again a view
     return _tiled(block, X.reshape(-1, *Y.shape[1:]))
-
-
-def _coarse_blocks(A: SystemOperator, block: np.ndarray):
-    """K = P1^T A1 P1 / 2 from the ELL stencil of A, by coarse cell:
-    (blocks, targets) with blocks[k, t] the 2x2 block of K at block row
-    targets[k, t] and block column k, one slot t per distinct cell among
-    k-1, k, k+1 (mod J/2); the other blocks are zero.  Associated as the
-    dense R A P, (A1 P1)^T / 2 @ P1, so each entry rounds as it does."""
-    cols, vals = A.cols, A.weights
-    cells, rows = len(cols) // 4, np.arange(len(cols))[:, None]
-    slot = (cols // 4 - rows // 4 + 1) % cells
-    band = np.zeros((cells, min(3, cells), 4, 4))  # [k, t] = A1's 4x4 block
-    np.add.at(band, (rows // 4, slot, rows % 4, cols % 4), vals)
-    k = np.arange(cells)[:, None]
-    return (band @ block).swapaxes(2, 3) / 2 @ block, (k + np.arange(band.shape[1]) - 1) % cells
 
 
 def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
@@ -317,20 +305,21 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     s = smoother_scale(config, params)
     check_dense_cap(config.ndof)  # the same limit as np.asarray of A and P
     A, P = SystemOperator(config), Prolongation(config, params.discontinuity)
-    blocks, targets = _coarse_blocks(A, P.block)
+    # K's band: [k, t] is its block at block row k+t-1 and block column k,
+    # associated as the dense R A P, (A1 P1)^T / 2 @ P1, so each entry rounds
+    # as it does
+    K = (_cell_band(A) @ P.block).swapaxes(2, 3) / 2 @ P.block
     periodic = config.bc is BoundaryCondition.PERIODIC
     if config.dim == 1 and not periodic:
-        k = np.arange(len(blocks))[:, None]  # K's diagonal blocks and K[k+1, k]
-        diag, sub = blocks[targets == k], blocks[targets == k + 1]
-        try:
-            coarse_solve = _condensed_solver(diag, sub)
+        try:  # K's diagonal blocks and K[k+1, k]
+            coarse_solve = _condensed_solver(K[:, 1], K[:-1, 2])
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     else:
         # 1D: the pair (K, I) keeps the eigenvectors orthonormal, so the 1D
         # pseudo-inverse rounds as the dense one does; 2D: M = P1^T P1 / 2
         M_block = np.eye(2) if config.dim == 1 else P.block.T @ P.block / 2
-        coarse_solve = _fast_diagonal_solver(_block_matrix(blocks, targets), M_block, config.dim, periodic)
+        coarse_solve = _fast_diagonal_solver(_band_matrix(K), M_block, config.dim, periodic)
     return TwoLevelOperators(config, params, A, s, P, coarse_solve)
 
 

@@ -12,7 +12,7 @@ from dgml.twolevel import (
     error_matrix,
     smoother_scale,
 )
-from dgml import lfa
+from dgml import lfa, twolevel
 
 PER = BoundaryCondition.PERIODIC
 
@@ -141,6 +141,24 @@ def test_coarse_symbol_is_product_of_symbols(seed):
         scale = np.abs(ref).max()
         assert np.abs(np.linalg.eigvalsh(A0) - np.linalg.eigvalsh(ref)).max() < 1e-12 * scale
         np.testing.assert_allclose(A0, A0.conj().T, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("J", [2, 4, 8, 64])
+def test_coarse_band_is_the_galerkin_coarse_symbol(monkeypatch, J):
+    # one formula: the periodic set-up's coarse band, summed with the phases
+    # of the module docstring, is the LFA coarse symbol at every frequency;
+    # slot t of block column k is K's block at block row k+t-1, so it
+    # couples a cell to its (1-t)-th neighbour
+    bands = []
+    original = twolevel._band_matrix
+    monkeypatch.setattr(twolevel, "_band_matrix", lambda K: bands.append(K) or original(K))
+    k = np.arange(J // 2)
+    phases = np.exp(1j * np.outer(4.0 * np.pi * k / J, [1, 0, -1]))
+    for params in (MethodParams(8.0 / 9.0, 2.0, 0.5), random_params(np.random.default_rng(J))):
+        build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
+        symbols = np.einsum("ft,ctij->cfij", phases, bands.pop())  # [cell, frequency]
+        ref = galerkin_coarse(k, J, params.penalty, params.discontinuity)
+        assert np.abs(symbols - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_error_symbol_rank_structure():
