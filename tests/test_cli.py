@@ -11,6 +11,7 @@ import pytest
 
 from dgml import cli
 from dgml.solver import gmres
+from dgml.twolevel import SingularCoarseError
 
 
 def run(tmp_path, *argv):
@@ -129,6 +130,16 @@ def test_gmres_sweep_periodic_solves_consistent_system(tmp_path, monkeypatch):
 def test_gmres_sweep_unconverged_is_numerical_failure(tmp_path, capsys):
     assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--tol", "1e-30") == 3
     assert "J=16 classical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, SingularCoarseError, ArithmeticError])
+def test_numerical_errors_are_numerical_failure(tmp_path, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "build_two_level", fail)
+    assert run(tmp_path, "gmres-sweep", "--cells-list", "16") == 3
+    assert capsys.readouterr().err == "dgml: numerical failure: injected\n"
 
 
 def test_gmres_sweep_unknown_preset_is_usage_error(tmp_path, capsys):

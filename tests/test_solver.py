@@ -41,6 +41,17 @@ def test_gmres_zero_rhs_rejected():
         gmres(lambda v: v, None, np.zeros(4))
 
 
+def test_gmres_preconditioner_annihilating_rhs():
+    # M^{-1} b = 0 with b != 0 leaves no Krylov space: no step, x = 0
+    b = np.array([1.0, 2.0])
+    rep = gmres(lambda v: v, np.zeros_like, b)
+    assert rep.iterations == 0
+    assert not rep.converged
+    assert rep.residual_history == [0.0]
+    np.testing.assert_array_equal(rep.solution, np.zeros(2))
+    assert rep.true_residual == np.linalg.norm(b)
+
+
 def test_gmres_matches_direct_solve():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 30))

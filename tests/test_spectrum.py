@@ -234,6 +234,13 @@ def test_analyze_accepts_eigenvalue_vector():
         spectrum.analyze(np.eye(3))
 
 
+def test_empty_spectrum():
+    assert spectrum.cluster_eigenvalues([], 1e-6) == []
+    report = spectrum.analyze([])
+    assert report.spectral_radius == 0.0
+    assert report.clusters == []
+
+
 # ---------------------------------------------------------------------------
 # structured Dirichlet path (mirror blocks + fast diagonalization)
 
