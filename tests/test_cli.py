@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgml import cli
+from helpers import cell_fourier_basis, projected_block
+
+from dgml import cli, lfa
 from dgml.solver import gmres
-from dgml.twolevel import SingularCoarseError
+from dgml.twolevel import SingularCoarseError, build_two_level, error_matrix
 
 
 def run(tmp_path, *argv):
@@ -169,8 +171,44 @@ def test_lfa_verify_passes(tmp_path):
     assert all(float(line.split(",")[2]) < 1e-8 for line in lines[1:])
 
 
-def test_lfa_verify_detects_injected_fault(tmp_path):
-    assert run(tmp_path, "lfa-verify", "--cells-list", "4", "--inject-error") == 2
+@pytest.mark.parametrize("J", ["4", "8", "16", "32"])
+def test_lfa_verify_detects_injected_fault(tmp_path, J):
+    assert run(tmp_path, "lfa-verify", "--cells-list", J, "--inject-error") == 2
+    rows = read(tmp_path, "_verify.csv").strip().splitlines()[1:]
+    assert min(float(row.split(",")[2]) for row in rows) > 1e-4  # every case, not just the worst
+
+
+@pytest.mark.parametrize("J", [2, 4, 6])
+def test_lfa_verify_deviation_is_the_projected_block_defect(tmp_path, monkeypatch, J):
+    # max over (k, k') of |V_k^H E V_k' - delta_kk' symbol_error(k)| from the
+    # explicit Fourier bases, which pins the FFT's sign and scale
+    built = []
+
+    def recording_build(cfg, params):
+        built.append((cfg, params))
+        return build_two_level(cfg, params)
+
+    monkeypatch.setattr(cli, "build_two_level", recording_build)
+    assert run(tmp_path, "lfa-verify", "--cells-list", str(J)) == 0
+    rows = read(tmp_path, "_verify.csv").strip().splitlines()[1:]
+    assert len(rows) == len(built) == 5
+    bases = [cell_fourier_basis(J, k, 4) for k in range(J // 2)]
+    for row, (cfg, params) in zip(rows, built):
+        E = error_matrix(build_two_level(cfg, params))
+        expected = max(
+            np.abs(projected_block(E, bases[k], bases[kk]) - (k == kk) * lfa.symbol_error(k, J, params)).max()
+            for k in range(J // 2) for kk in range(J // 2)
+        )
+        assert abs(float(row.split(",")[2]) - expected) < 1e-14
+
+
+def test_lfa_verify_runs_no_eigensolver(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lfa-verify called an eigensolver")
+
+    for name in ("eigvals", "eig", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run(tmp_path, "lfa-verify") == 0
 
 
 def test_usage_errors(tmp_path):
