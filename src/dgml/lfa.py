@@ -24,7 +24,8 @@ orthonormal basis (tests verify this entrywise), so
 holds to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
 have the closed form lambda = center +/- sqrt(num/den) with polynomial
 center/num/den in (alpha, delta0, c) and cos(theta);
-eigenvalues_closed_form_at evaluates it on an array of cosines.
+eigenvalues_closed_form_at evaluates it on an array of cosines, and
+symbol_radius takes the pairs' moduli in real arithmetic on a fixed grid.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
     A0inv[~kernel] = np.linalg.inv(rest)
     s = smoother_scale(DiscretizationConfig(J, d0, BoundaryCondition.PERIODIC, dim), params)
     eye = np.eye(A.shape[-1])
-    return (eye - P @ A0inv @ RA) @ (eye - params.alpha * s * A)
+    A *= params.alpha * s  # in place, with the bits of (I - P A0^{-1} R A)(I - alpha s A)
+    coarse = P @ A0inv @ RA
+    return np.subtract(eye, coarse, out=coarse) @ np.subtract(eye, A, out=A)
 
 
 def _coefficients(alpha: float, d0: float, c: float):
@@ -143,20 +146,24 @@ def _coefficients(alpha: float, d0: float, c: float):
     return (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2)
 
 
-def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
-    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
-    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*params.as_tuple())
-    x = np.asarray(cosine, dtype=float)
+def _closed_form_parts(x, params: MethodParams):
+    """(center, q) of lambda = center +/- sqrt(q) at cosines x, in float arithmetic."""
+    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*map(float, params.as_tuple()))
     den = den0 + den1 * x
     radicand_den = s0 + s1 * x + s2 * x * x
     bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
-    if np.any(bad):
+    if bad.any():
         raise DegenerateParameterError(
             f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator"
         )
-    center = (num0 + num1 * x) / den
-    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
+    return (num0 + num1 * x) / den, (r0 + r1 * x + r2 * x * x) / radicand_den
+
+
+def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
+    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
+    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
+    center, q = _closed_form_parts(np.asarray(cosine, dtype=float), params)
+    root = np.sqrt(q.astype(complex))
     return np.stack([center + root, center - root], axis=-1)
 
 
@@ -176,12 +183,19 @@ def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np
     return thetas, eigenvalues_closed_form_at(np.cos(thetas), params)
 
 
+_RADIUS_COSINES = np.cos(np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+
+
 def symbol_radius(params: MethodParams) -> float:
     """max |lambda| over a 256-point theta grid: the two-level convergence
     factor.  The even count keeps both phase extremes cos = +/-1 on the
-    grid, where non-clustered spectra attain their maximum."""
-    _, pairs = eigenvalues_over_theta(params, 256)
-    return float(np.max(np.abs(pairs)))
+    grid, where non-clustered spectra attain their maximum.  In real arithmetic,
+    |center| + sqrt(q) where q >= 0 and hypot(center, sqrt(-q)) where q < 0."""
+    center, q = _closed_form_parts(_RADIUS_COSINES, params)
+    if q.min() >= 0:  # all pairs real; rounding can make q < 0 near the box edges
+        return float((np.abs(center) + np.sqrt(q)).max())
+    root = np.sqrt(np.abs(q))
+    return float(np.where(q >= 0, np.abs(center) + root, np.hypot(center, root)).max())
 
 
 def error_spectrum_symbols(J: int, params: MethodParams, dim: int = 1) -> np.ndarray:

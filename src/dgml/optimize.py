@@ -56,12 +56,21 @@ def bracketed_root(coeffs, lo: float, hi: float) -> float:
 
     Bisects until lo and hi are adjacent floats and returns the endpoint
     with the smaller |p|; raises ValueError without a strict sign change.
+    p is Horner's y = y*x + a from y = 0 on floats, np.polyval's order and bits.
     """
-    flo, fhi = np.polyval(coeffs, lo), np.polyval(coeffs, hi)
-    if not (lo < hi and np.sign(flo) * np.sign(fhi) < 0):
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+
+    def p(x):
+        y = 0.0
+        for a in coeffs:
+            y = y * x + a
+        return y
+
+    flo, fhi = p(lo), p(hi)
+    if not (lo < hi and (flo < 0 < fhi or fhi < 0 < flo)):
         raise ValueError(f"no strict sign change on [{lo}, {hi}]")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fmid = np.polyval(coeffs, mid)
+        fmid = p(mid)
         if (fmid < 0) == (flo < 0):
             lo, flo = mid, fmid
         else:
@@ -197,21 +206,17 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
     accepted steps are non-increasing by construction."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    sim = [x0]
-    for j in range(n):
-        xj = x0.copy()
-        xj[j] += steps[j]
-        sim.append(xj)
-    sim = np.array(sim)
+    sim = np.repeat(x0[None], n + 1, axis=0)
+    sim[np.arange(1, n + 1), np.arange(n)] += steps
     fvals = np.array([f(x) for x in sim])
     nfev = n + 1
     history = [float(fvals.min())]
     while nfev < max_evals:
         order = np.argsort(fvals)
         sim, fvals = sim[order], fvals[order]
-        if fvals[-1] - fvals[0] < 1e-12 and np.max(np.abs(sim[1:] - sim[0])) < 1e-9:
+        if fvals[-1] - fvals[0] < 1e-12 and np.abs(sim[1:] - sim[0]).max() < 1e-9:
             break
-        centroid = sim[:-1].mean(axis=0)
+        centroid = sim[:-1].sum(axis=0) / n
         xr = centroid + (centroid - sim[-1])
         fr = f(xr)
         nfev += 1
@@ -219,10 +224,7 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
             xe = centroid + 2.0 * (centroid - sim[-1])
             fe = f(xe)
             nfev += 1
-            if fe < fr:
-                sim[-1], fvals[-1] = xe, fe
-            else:
-                sim[-1], fvals[-1] = xr, fr
+            sim[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
             sim[-1], fvals[-1] = xr, fr
         else:
@@ -232,9 +234,8 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
             if fc < fvals[-1]:
                 sim[-1], fvals[-1] = xc, fc
             else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fvals[j] = f(sim[j])
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fvals[1:] = [f(x) for x in sim[1:]]
                 nfev += n
         history.append(float(fvals.min()))
     order = np.argsort(fvals)

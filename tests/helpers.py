@@ -9,13 +9,20 @@ prolongation_loop and dense_two_level build the two-level set-up entry by
 entry and product by product, the oracle of the structured build_two_level
 (its A @ X and P @ Y too), preconditioner_matrix and error_matrix.  coarse_operator builds the
 Galerkin coarse operator R A P, which build_two_level does not store, from
-the same loops at every size the set-up accepts.
+the same loops at every size the set-up accepts.  closed_form_pairs,
+reference_symbol_radius and polyval_bracketed_root are the complex-path
+closed form, the radius taken from it and the np.polyval bisection: the
+references that lfa's real-arithmetic radius and optimize's Horner
+bisection must reproduce bit for bit.  loop_nelder_mead builds and shrinks
+the simplex vertex by vertex and takes the centroid by mean, the reference
+of optimize.nelder_mead's iterates.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from dgml import lfa
 from dgml.discretization import BoundaryCondition
 from dgml.twolevel import smoother_scale
 
@@ -120,3 +127,92 @@ def coarse_operator(config, params):
         return K
     M = galerkin(np.eye(2 * J))
     return np.kron(K, M) + np.kron(M, K)
+
+
+def closed_form_pairs(cosine, params):
+    """Closed-form pairs center +/- sqrt(q) through a complex square root,
+    from _coefficients of the triple's own components, after a mask check of
+    both denominators: the (..., 2) complex array of eigenvalues_closed_form_at."""
+    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(*params.as_tuple())
+    x = np.asarray(cosine, dtype=float)
+    den = den0 + den1 * x
+    radicand_den = s0 + s1 * x + s2 * x * x
+    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
+    if np.any(bad):
+        raise lfa.DegenerateParameterError(
+            f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator"
+        )
+    center = (num0 + num1 * x) / den
+    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
+    return np.stack([center + root, center - root], axis=-1)
+
+
+def reference_symbol_radius(params):
+    """max |lambda| of closed_form_pairs on the 256-point theta grid in
+    [0, 2*pi): the value symbol_radius must return."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    return float(np.abs(closed_form_pairs(np.cos(thetas), params)).max())
+
+
+def polyval_bracketed_root(coeffs, lo, hi):
+    """Bisection of a strict sign change on [lo, hi] with np.polyval, down
+    to adjacent floats; the endpoint with the smaller |p| is the root."""
+    flo, fhi = np.polyval(coeffs, lo), np.polyval(coeffs, hi)
+    if not (lo < hi and np.sign(flo) * np.sign(fhi) < 0):
+        raise ValueError(f"no strict sign change on [{lo}, {hi}]")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fmid = np.polyval(coeffs, mid)
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def loop_nelder_mead(f, x0, steps, max_evals=2000):
+    """Nelder-Mead with the simplex built and shrunk one vertex at a time;
+    returns (best x, best value, evaluations, best value after each step)."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = [x0]
+    for j in range(n):
+        xj = x0.copy()
+        xj[j] += steps[j]
+        sim.append(xj)
+    sim = np.array(sim)
+    fvals = np.array([f(x) for x in sim])
+    nfev = n + 1
+    history = [float(fvals.min())]
+    while nfev < max_evals:
+        order = np.argsort(fvals)
+        sim, fvals = sim[order], fvals[order]
+        if fvals[-1] - fvals[0] < 1e-12 and np.max(np.abs(sim[1:] - sim[0])) < 1e-9:
+            break
+        centroid = sim[:-1].mean(axis=0)
+        xr = centroid + (centroid - sim[-1])
+        fr = f(xr)
+        nfev += 1
+        if fr < fvals[0]:
+            xe = centroid + 2.0 * (centroid - sim[-1])
+            fe = f(xe)
+            nfev += 1
+            if fe < fr:
+                sim[-1], fvals[-1] = xe, fe
+            else:
+                sim[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            sim[-1], fvals[-1] = xr, fr
+        else:
+            xc = centroid + 0.5 * (sim[-1] - centroid)
+            fc = f(xc)
+            nfev += 1
+            if fc < fvals[-1]:
+                sim[-1], fvals[-1] = xc, fc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fvals[j] = f(sim[j])
+                nfev += n
+        history.append(float(fvals.min()))
+    order = np.argsort(fvals)
+    return sim[order][0], float(fvals[order][0]), nfev, history

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cell_fourier_basis, coarse_operator, deflate_constant, invariance_defect, projected_block
+from helpers import (
+    cell_fourier_basis,
+    closed_form_pairs,
+    coarse_operator,
+    deflate_constant,
+    invariance_defect,
+    projected_block,
+    reference_symbol_radius,
+)
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
@@ -12,7 +20,7 @@ from dgml.twolevel import (
     error_matrix,
     smoother_scale,
 )
-from dgml import lfa, twolevel
+from dgml import cli, lfa, twolevel
 
 PER = BoundaryCondition.PERIODIC
 
@@ -344,6 +352,92 @@ def test_kernel_symbol_keeps_the_constant_mode_near_delta0_one():
     # values are 2.6e-6 and 7.2e-16, and pinv(rcond=1e-10) inverts both
     params = MethodParams(1.0, 1.0 + 1e-8, 1e-4)
     np.testing.assert_allclose(lfa.symbol_error(0, 8, params) @ np.ones(4), np.ones(4), rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the real-arithmetic kernels against the complex path, bit for bit
+
+
+def same_outcome(f, g, *args):
+    """f and g return the same bits, or both raise DegenerateParameterError
+    with the same message."""
+    try:
+        want = g(*args)
+    except lfa.DegenerateParameterError as exc:
+        with pytest.raises(lfa.DegenerateParameterError) as got:
+            f(*args)
+        assert str(got.value) == str(exc)
+        return False
+    have = f(*args)
+    assert type(have) is type(want)
+    assert np.shape(have) == np.shape(want) and np.asarray(have).dtype == np.asarray(want).dtype
+    assert np.asarray(have).tobytes() == np.asarray(want).tobytes(), (args, have, want)
+    return True
+
+
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_symbol_radius_is_the_complex_path_radius_on_seeded_draws(cast):
+    # the box's interior and its neighbourhood of delta0 = 1 (gaps down to 1e-9)
+    rng = np.random.default_rng(2207)
+    for _ in range(1500):
+        gap = 10.0 ** rng.uniform(-9.0, 1.0)
+        p = MethodParams(cast(rng.uniform(0.0, 1.0)), cast(1.0 + gap), cast(rng.uniform(1e-6, 1.0 - 1e-6)))
+        assert same_outcome(lfa.symbol_radius, reference_symbol_radius, p)
+
+
+@pytest.mark.parametrize("edge", ["c->0", "c->1", "delta0->1+", "alpha=0"])
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_symbol_radius_is_the_complex_path_radius_at_the_edges(edge, cast):
+    # at the edges the radicand vanishes (alpha = 0) or cancels to rounding
+    # level, where q >= 0 and q < 0 meet on the same grid
+    rng = np.random.default_rng(["c->0", "c->1", "delta0->1+", "alpha=0"].index(edge))
+    gaps = [2.0**-e for e in range(1, 60)] + [5e-324, 1e-300, 1e-200, 1e-100]
+    for gap in gaps:
+        alpha, d0, c = rng.uniform(0.05, 1.0), rng.uniform(1.05, 10.0), rng.uniform(0.05, 0.95)
+        if edge == "c->0":
+            c = gap
+        elif edge == "c->1":
+            c = min(1.0 - gap, np.nextafter(1.0, 0.0))
+        elif edge == "delta0->1+":
+            d0 = max(1.0 + gap, np.nextafter(1.0, 2.0))
+        else:
+            alpha = 0.0
+        p = MethodParams(cast(alpha), cast(d0), cast(c))
+        same_outcome(lfa.symbol_radius, reference_symbol_radius, p)
+
+
+@pytest.mark.parametrize("name", cli.PRESETS_1D)
+def test_symbol_radius_is_the_complex_path_radius_at_the_presets(name):
+    assert same_outcome(lfa.symbol_radius, reference_symbol_radius, cli.preset_params(name))
+
+
+def test_closed_form_pairs_are_the_complex_path_pairs():
+    rng = np.random.default_rng(2208)
+    for cast in (float, np.float64):
+        for _ in range(200):
+            p = MethodParams(cast(rng.uniform(0.0, 1.0)), cast(1.0 + 10.0 ** rng.uniform(-6.0, 1.0)),
+                             cast(rng.uniform(0.01, 0.99)))
+            x = rng.uniform(-1.0, 1.0, 6)
+            for cosine in (x, x.reshape(2, 3), x[0], float(x[1]), np.float64(x[2]), np.asarray(x[3])):
+                assert same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, cosine, p)
+    # the complex branch: out-of-range cosines make the radicand negative
+    p = MethodParams(0.9, 2.0, 0.5)
+    grid = np.linspace(5.0, 9.0, 401)
+    complex_branch = 0
+    for x in grid:
+        if same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, x, p):
+            complex_branch += abs(lfa.eigenvalues_closed_form_at(x, p)[0].imag) > 0
+    assert complex_branch > 100
+    ok = [x for x in grid if same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, x, p)]
+    assert same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, np.array(ok), p)
+
+
+def test_degenerate_cosines_are_named():
+    p = MethodParams(0.9, 2.0, 0.5)
+    with pytest.raises(lfa.DegenerateParameterError, match=r"cos=\[7\.\]"):
+        lfa.eigenvalues_closed_form_at(np.array([0.3, 7.0, -0.5]), p)
+    assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, np.array([[7.0, 0.3], [7.0, 1.0]]), p)
+    assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, 7.0, p)
 
 
 # ---------------------------------------------------------------------------

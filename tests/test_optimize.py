@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import loop_nelder_mead, polyval_bracketed_root, reference_symbol_radius
+
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import MethodParams
 from dgml import lfa, optimize, spectrum
@@ -43,6 +45,72 @@ def test_roots_simple_cases():
 def test_bracketed_root_requires_strict_sign_change(coeffs, lo, hi):
     with pytest.raises(ValueError):
         optimize.bracketed_root(coeffs, lo, hi)
+
+
+def same_root(coeffs, lo, hi):
+    """bracketed_root gives polyval_bracketed_root's bits, or both raise."""
+    try:
+        want = polyval_bracketed_root(coeffs, lo, hi)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            optimize.bracketed_root(coeffs, lo, hi)
+        assert str(got.value) == str(exc)
+        return False
+    have = optimize.bracketed_root(coeffs, lo, hi)
+    assert np.float64(have).tobytes() == np.float64(want).tobytes(), (coeffs, lo, hi, have, want)
+    return True
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi",
+    [
+        (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
+        (optimize.PENALTY_QUARTIC, 1.0, 10.0),
+        (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
+        ((4, -8, 8, -8, 3), 0.0, 1.0),
+        (np.array(optimize.PENALTY_QUARTIC), 1.0, 10.0),
+        (np.array([183, -352, 214, -40, -1]), 0.0, 1.0),
+        ((1.0, 0.0, -1.0), 0.0, 2.0),
+        ((1.0, -1.8, 0.8), 0.9, 5.0),
+        ((2.0, 1.0), -1.0, 1.0),
+        ((1, 0, -2), 0, 2),
+    ],
+)
+def test_bracketed_root_is_the_polyval_bisection(coeffs, lo, hi):
+    assert same_root(coeffs, lo, hi)
+
+
+def test_bracketed_root_is_the_polyval_bisection_on_seeded_polynomials():
+    # cubics and quartics with real roots, bracketing the smallest one
+    rng = np.random.default_rng(2209)
+    for _ in range(300):
+        roots = np.sort(rng.uniform(-3.0, 3.0, rng.choice([3, 4])))
+        coeffs = np.poly(roots) * rng.uniform(-10.0, 10.0)
+        lo, hi = roots[0] - rng.uniform(0.01, 1.0), 0.5 * (roots[0] + roots[1])
+        for form in (coeffs, tuple(coeffs.tolist()), np.round(100 * coeffs).astype(int)):
+            same_root(form, lo, hi)
+        assert same_root(coeffs, lo, hi)
+
+
+def test_1d_optimizers_follow_the_complex_path_radius(monkeypatch):
+    # Nelder-Mead and golden section take the same steps, evaluation by
+    # evaluation, on the complex-path radius as on symbol_radius
+    def run(radius):
+        calls = []
+
+        def counted(params):
+            calls.append(params.as_tuple())
+            return radius(params)
+
+        monkeypatch.setattr(lfa, "symbol_radius", counted)
+        return optimize.optimize_1d_alpha_delta(0.5), optimize.optimize_1d_alpha(2.0, 0.5), calls
+
+    fast = run(lfa.symbol_radius)
+    reference = run(reference_symbol_radius)
+    for have, want in zip(fast[:2], reference[:2]):
+        assert [np.float64(v).tobytes() for v in have] == [np.float64(v).tobytes() for v in want]
+    assert len(fast[2]) == len(reference[2]) > 0
+    assert fast[2] == reference[2]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +226,32 @@ def test_nelder_mead_quadratic_and_monotone_history():
     np.testing.assert_allclose(res.x, [1.0, -0.5], atol=1e-4)
     hist = np.array(res.best_history)
     assert np.all(np.diff(hist) <= 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nelder_mead_is_the_loop_reference(n):
+    # the same points evaluated in the same order and the same result, on a
+    # smooth bowl, a rough one (many shrinks) and one with an infeasible side
+    objectives = [
+        lambda v: float(((v - 0.3) ** 2 * np.arange(1, n + 1)).sum()),
+        lambda v: float(np.sin(37.0 * v).sum() + (v * v).sum()),
+        lambda v: np.inf if v[0] < 0 else float(abs(v[0] - 0.5) + abs(v[-1])),
+    ]
+    rng = np.random.default_rng(2210 + n)
+    for objective in objectives:
+        for _ in range(5):
+            x0, steps = rng.uniform(-1.0, 1.0, n), tuple(rng.uniform(0.01, 0.5, n))
+            seen = {"fast": [], "loop": []}
+
+            def recorded(name):
+                return lambda x: seen[name].append(x.tobytes()) or objective(x)
+
+            with np.errstate(invalid="ignore"):  # inf - inf with two infeasible vertices
+                res = optimize.nelder_mead(recorded("fast"), x0, steps, max_evals=300)
+                x, fval, nfev, history = loop_nelder_mead(recorded("loop"), x0, steps, max_evals=300)
+            assert seen["fast"] == seen["loop"] and len(seen["fast"]) == nfev
+            assert res.x.tobytes() == x.tobytes() and res.fval == fval
+            assert res.nfev == nfev and res.best_history == history
 
 
 def test_optimize_alpha_classical():
