@@ -192,7 +192,7 @@ def symbol_radius(params: MethodParams) -> float:
     grid, where non-clustered spectra attain their maximum.  In real arithmetic,
     |center| + sqrt(q) where q >= 0 and hypot(center, sqrt(-q)) where q < 0."""
     center, q = _closed_form_parts(_RADIUS_COSINES, params)
-    if q.min() >= 0:  # all pairs real; rounding can make q < 0 near the box edges
+    if q.min() >= 0:  # all pairs real, as at every 1D optimizer iterate: no hypot, no select
         return float((np.abs(center) + np.sqrt(q)).max())
     root = np.sqrt(np.abs(q))
     return float(np.where(q >= 0, np.abs(center) + root, np.hypot(center, root)).max())

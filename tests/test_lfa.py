@@ -20,7 +20,7 @@ from dgml.twolevel import (
     error_matrix,
     smoother_scale,
 )
-from dgml import cli, lfa, twolevel
+from dgml import cli, lfa, optimize, twolevel
 
 PER = BoundaryCondition.PERIODIC
 
@@ -438,6 +438,22 @@ def test_degenerate_cosines_are_named():
         lfa.eigenvalues_closed_form_at(np.array([0.3, 7.0, -0.5]), p)
     assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, np.array([[7.0, 0.3], [7.0, 1.0]]), p)
     assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, 7.0, p)
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="_coefficients' float powers overflow "
+                   "from delta0 ~ 1e77, which MethodParams admits")
+@pytest.mark.parametrize("closed_form", ["symbol_radius", "eigenvalues_closed_form_at", "predicted_radius"])
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_closed_form_names_an_overflowing_penalty(closed_form, cast):
+    # float components have always raised OverflowError here; np.float64 ones
+    # returned NaN until the coefficients were taken as Python floats
+    f = {
+        "symbol_radius": lfa.symbol_radius,
+        "eigenvalues_closed_form_at": lambda p: lfa.eigenvalues_closed_form_at(1.0, p),
+        "predicted_radius": optimize.predicted_radius,
+    }[closed_form]
+    with pytest.raises(lfa.DegenerateParameterError):
+        f(MethodParams(0.5, cast(1e80), 0.5))
 
 
 # ---------------------------------------------------------------------------
