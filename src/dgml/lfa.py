@@ -148,7 +148,10 @@ def _coefficients(alpha: float, d0: float, c: float):
 
 def _closed_form_parts(x, params: MethodParams):
     """(center, q) of lambda = center +/- sqrt(q) at cosines x, in float arithmetic."""
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*map(float, params.as_tuple()))
+    try:
+        (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*map(float, params.as_tuple()))
+    except OverflowError as exc:
+        raise DegenerateParameterError(f"closed-form coefficients overflow at {params.as_tuple()}") from exc
     den = den0 + den1 * x
     radicand_den = s0 + s1 * x + s2 * x * x
     bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)

@@ -12,6 +12,7 @@ found by direct minimization of the two-level convergence factor, and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,7 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
     while nfev < max_evals:
         order = np.argsort(fvals)
         sim, fvals = sim[order], fvals[order]
-        if fvals[-1] - fvals[0] < 1e-12 and np.abs(sim[1:] - sim[0]).max() < 1e-9:
+        if math.isfinite(fvals[0]) and fvals[-1] - fvals[0] < 1e-12 and np.abs(sim[1:] - sim[0]).max() < 1e-9:
             break
         centroid = sim[:-1].sum(axis=0) / n
         xr = centroid + (centroid - sim[-1])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lfa
 from .discretization import BoundaryCondition, DiscretizationConfig, assemble_1d, check_dense_cap
-from .twolevel import MethodParams, prolongation_matrix, smoother_scale
+from .twolevel import MethodParams, Prolongation, smoother_scale
 
 
 class EigensolveError(np.linalg.LinAlgError):
@@ -182,7 +182,7 @@ def two_level_error_eigenvalues(config: DiscretizationConfig, params: MethodPara
     halves = []  # per mirror half: eig(A_h) and U = V^T [Q | N], V its eigenvectors
     for A_h, P_h in zip(
         _mirror_halves(assemble_1d(line)),
-        _mirror_halves(prolongation_matrix(line, params.discontinuity)),
+        _mirror_halves(np.asarray(Prolongation(line, params.discontinuity))),
     ):
         lam, V = np.linalg.eigh(A_h)
         QN, _ = np.linalg.qr(P_h, mode="complete")

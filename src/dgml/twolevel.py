@@ -142,24 +142,13 @@ def _on_grid(block: np.ndarray, Y: np.ndarray, n: int, dim: int) -> np.ndarray:
     return _tiled(block, X.reshape(-1, *Y.shape[1:]))
 
 
-def prolongation_matrix(config: DiscretizationConfig, c: float) -> np.ndarray:
-    """Coarse-to-fine transfer with discontinuity parameter c.
-
-    1D: block-diagonal tiling of the 4x2 stencil block, one block per coarse
-    cell; the same matrix serves periodic and Dirichlet problems because the
-    dof ordering is cell-major in both cases.  2D: Kronecker product of the
-    1D operator with itself.
-    """
-    P = np.kron(np.eye(config.cells_per_dim // 2), _prolongation_block(c))
-    return np.kron(P, P) if config.dim == 2 else P
-
-
 class Prolongation:
-    """The prolongation of a configuration, held as its 4x2 block: P = P1 in
-    1D and P1 (x) P1 in 2D, with P1 = kron(I, block).  P @ Y applies the
-    block along each grid axis of Y, a vector or a stack of columns, in
-    O(P.shape[0] * columns).  np.asarray(P) is prolongation_matrix's dense
-    matrix, under the dense cap."""
+    """The coarse-to-fine transfer with discontinuity parameter c, held as
+    its 4x2 block: P = P1 in 1D and P1 (x) P1 in 2D, with P1 = kron(I, block),
+    one block per coarse cell (the dof ordering is cell-major for periodic
+    and Dirichlet problems alike).  P @ Y applies the block along each grid
+    axis of Y, a vector or a stack of columns, in O(P.shape[0] * columns).
+    np.asarray(P) forms that matrix by np.kron, under the dense cap."""
 
     def __init__(self, config: DiscretizationConfig, c: float):
         self.config, self.discontinuity, self.block = config, c, _prolongation_block(c)
@@ -170,7 +159,8 @@ class Prolongation:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         check_dense_cap(self.shape[0])
-        return np.asarray(prolongation_matrix(self.config, self.discontinuity), dtype=dtype)
+        P = np.kron(np.eye(self.config.cells_per_dim // 2), self.block)
+        return np.asarray(np.kron(P, P) if self.config.dim == 2 else P, dtype=dtype)
 
 
 @dataclass(frozen=True)

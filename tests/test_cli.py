@@ -328,3 +328,14 @@ def test_importing_dgml_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # the dgml under test
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_root_holds_only_the_version():
+    # every name is imported from its module, so one module loads alone
+    code = (
+        "import sys, dgml; print(dgml.__version__, sorted(n for n in vars(dgml) if not n.startswith('_'))); "
+        "import dgml.solver; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dgml'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # the dgml under test
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines() == [f"{cli.__version__} []", "['dgml', 'dgml.solver']"]

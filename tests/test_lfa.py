@@ -440,8 +440,6 @@ def test_degenerate_cosines_are_named():
     assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, 7.0, p)
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError, reason="_coefficients' float powers overflow "
-                   "from delta0 ~ 1e77, which MethodParams admits")
 @pytest.mark.parametrize("closed_form", ["symbol_radius", "eigenvalues_closed_form_at", "predicted_radius"])
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_closed_form_names_an_overflowing_penalty(closed_form, cast):

@@ -24,7 +24,6 @@ from dgml.twolevel import (
     build_two_level,
     error_matrix,
     preconditioner_matrix,
-    prolongation_matrix,
     smoother_scale,
 )
 from dgml import lfa, twolevel
@@ -95,27 +94,27 @@ def test_smoother_penalty_mismatch():
 
 
 def test_prolongation_continuous_case():
-    P = prolongation_matrix(DiscretizationConfig(2, 2.0, DIR), 0.5)
+    P = np.asarray(Prolongation(DiscretizationConfig(2, 2.0, DIR), 0.5))
     np.testing.assert_array_equal(P, [[1, 0], [0.5, 0.5], [0.5, 0.5], [0, 1]])
 
 
 def test_prolongation_discontinuous_rows():
     c = 0.564604
-    P = prolongation_matrix(DiscretizationConfig(2, 2.0, DIR), c)
+    P = np.asarray(Prolongation(DiscretizationConfig(2, 2.0, DIR), c))
     np.testing.assert_allclose(P[1], [c, 1 - c])
     np.testing.assert_allclose(P[2], [1 - c, c])
     np.testing.assert_allclose(P.sum(axis=1), 1.0)
 
 
 def test_prolongation_column_sums():
-    P = prolongation_matrix(DiscretizationConfig(4, 2.0, PER), 0.31)
+    P = np.asarray(Prolongation(DiscretizationConfig(4, 2.0, PER), 0.31))
     np.testing.assert_allclose(P.sum(axis=0), 2.0)
     assert P.shape == (8, 4)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.564604, 0.9])
 def test_partition_of_unity(c):
-    P = prolongation_matrix(DiscretizationConfig(8, 2.0, DIR), c)
+    P = np.asarray(Prolongation(DiscretizationConfig(8, 2.0, DIR), c))
     np.testing.assert_allclose(P @ np.ones(8), np.ones(16), atol=1e-14)
 
 
