@@ -39,6 +39,7 @@ used for exact Fourier verification.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +85,8 @@ class DiscretizationConfig:
     dim: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.cells_per_dim, numbers.Integral):
+            raise ConfigError(f"cells_per_dim must be an integer, got {self.cells_per_dim!r}")
         if self.cells_per_dim < 2 or self.cells_per_dim % 2 != 0:
             raise ConfigError(
                 f"cells_per_dim must be even and >= 2 (coarsening by 2), "

@@ -176,16 +176,6 @@ def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
     return eigenvalues_closed_form_at(np.cos(_theta(k, J)), params)
 
 
-def eigenvalues_over_theta(params: MethodParams, npoints: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the closed form on a uniform grid in [0, 2*pi) of the symbols'
-    phase theta = 4*pi*k/J.
-
-    Returns the grid and an (npoints, 2) array of (lambda_plus, lambda_minus).
-    """
-    thetas = np.linspace(0.0, 2.0 * np.pi, npoints, endpoint=False)
-    return thetas, eigenvalues_closed_form_at(np.cos(thetas), params)
-
-
 _RADIUS_COSINES = np.cos(np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
 
 

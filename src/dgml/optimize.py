@@ -38,7 +38,7 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusteringSolution:
-    """A parameter triple with its system residuals and predicted factor.
+    """A parameter triple, its system residuals and its LFA radius (symbol_radius).
 
     failed_evals counts objective evaluations whose eigensolve raised
     (scored as +inf for the search).
@@ -104,11 +104,6 @@ def clustering_system_residuals(params: MethodParams) -> tuple[float, float, flo
     return tuple(float(r) for r in clustering_residuals(*params.as_tuple()))
 
 
-def predicted_radius(params: MethodParams) -> float:
-    """|lambda| predicted by the closed form at the zero phase."""
-    return float(np.max(np.abs(lfa.eigenvalues_closed_form_at(1.0, params))))
-
-
 def clustering_parameters() -> ClusteringSolution:
     """The clustering triple from the three quartic roots, each bisected on
     the bracket where its quartic changes sign once."""
@@ -117,7 +112,7 @@ def clustering_parameters() -> ClusteringSolution:
     alpha = bracketed_root(RELAXATION_QUARTIC, 0.0, 1.0)
     params = MethodParams(alpha, d0, c)
     res = clustering_system_residuals(params)
-    return ClusteringSolution(params, res, predicted_radius(params))
+    return ClusteringSolution(params, res, lfa.symbol_radius(params))
 
 
 def solve_clustering_system(
@@ -138,7 +133,7 @@ def solve_clustering_system(
                     f"converged outside the valid box: {exc}", x
                 ) from exc
             return ClusteringSolution(
-                params, clustering_system_residuals(params), predicted_radius(params), it
+                params, clustering_system_residuals(params), lfa.symbol_radius(params), it
             )
         Jac = np.empty((3, 3))
         try:

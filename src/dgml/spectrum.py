@@ -26,10 +26,6 @@ from .discretization import BoundaryCondition, DiscretizationConfig, assemble_1d
 from .twolevel import MethodParams, Prolongation, smoother_scale
 
 
-class EigensolveError(np.linalg.LinAlgError):
-    """The dense eigensolver did not converge."""
-
-
 @dataclass(frozen=True)
 class Cluster:
     center: complex
@@ -45,15 +41,12 @@ class SpectrumReport:
 
 
 def eigenvalues_dense(M) -> np.ndarray:
-    """All eigenvalues of a dense (generally nonsymmetric) matrix."""
+    """All eigenvalues of a dense (generally nonsymmetric) matrix; numpy's LinAlgError passes."""
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     check_dense_cap(A.shape[0])
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigensolver did not converge: {exc}") from exc
+    return np.linalg.eigvals(A)
 
 
 def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:

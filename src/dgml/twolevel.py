@@ -37,8 +37,7 @@ fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one
 eigendecomposition of the m x m pair (K, M), M = I in 1D, in O(m^3) where a
 dense 2D inverse costs O(m^6).  Periodic A0 is singular with the constant
 vector as kernel; the solve drops the constant eigenvector, which gives the
-pseudo-inverse.
-The 1D M^{-1} is an operator too (Preconditioner).
+pseudo-inverse.  M^{-1}, in 1D and 2D, is an operator too (Preconditioner).
 
 Every product along grid axes is one kernel: _tiled(block, X) is
 kron(I, block) @ X along axis 0, and _on_grid applies it along each grid
@@ -112,16 +111,6 @@ def _prolongation_block(c: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [c, 1.0 - c], [1.0 - c, c], [0.0, 1.0]])
 
 
-def _band_matrix(band: np.ndarray) -> np.ndarray:
-    """The dense matrix with band[k, t] added at block row k+t-1 (mod cells)
-    and block column k, zero elsewhere; blocks that land on one place when
-    cells <= 2 add."""
-    cells, slots, r, c = band.shape
-    out, k = np.zeros((cells, r, cells, c)), np.arange(cells)[:, None]
-    np.add.at(out, ((k + np.arange(slots) - 1) % cells, slice(None), k), band)
-    return out.reshape(cells * r, cells * c)
-
-
 def _tiled(block: np.ndarray, X: np.ndarray) -> np.ndarray:
     """kron(I, block) @ X along axis 0 of X, in O(X.size) per block row:
     one GEMM on the rows of a vector, one batched product for an array."""
@@ -151,7 +140,7 @@ class Prolongation:
     np.asarray(P) forms that matrix by np.kron, under the dense cap."""
 
     def __init__(self, config: DiscretizationConfig, c: float):
-        self.config, self.discontinuity, self.block = config, c, _prolongation_block(c)
+        self.config, self.block = config, _prolongation_block(c)
         self.shape = (config.ndof, config.ndof // 2**config.dim)
 
     def __matmul__(self, Y) -> np.ndarray:
@@ -254,9 +243,12 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray
     return solve
 
 
-def _fast_diagonal_solver(K: np.ndarray, M_block: np.ndarray, dim: int, periodic: bool):
+def _fast_diagonal_solver(band: np.ndarray, M_block: np.ndarray, dim: int, periodic: bool):
     """Y -> A0^{-1} Y for A0 = K (x) M + M (x) K in 2D and A0 = K in 1D
     (M_block = I), M the tiling of the 2x2 SPD M_block, by fast diagonalization.
+    K is _tridiagonal of its (m/2, 3, 2, 2) band plus the periodic wrap blocks.
+    eigh and the blockwise M^{-1/2} congruence read only its lower triangle,
+    so its upper blocks, the lower ones transposed, need not match the band's.
 
     V = M^{-1/2} W, with eig(M^{-1/2} K M^{-1/2}) = W diag(mu) W^T, gives
     V^T K V = diag(mu) and V^T M V = I, so A0^{-1} = (V (x) V) diag(1/(mu_i +
@@ -266,6 +258,10 @@ def _fast_diagonal_solver(K: np.ndarray, M_block: np.ndarray, dim: int, periodic
     kept eigenvalue at or below 1e-10 times the largest raises
     SingularCoarseError.
     """
+    K = _tridiagonal(band[:, 1], band[:-1, 2])
+    if periodic:  # the wrap blocks, which add to filled blocks when m <= 4
+        K[-2:, :2] += band[0, 0]
+        K[:2, -2:] += band[-1, 2]
     w, U = np.linalg.eigh(M_block)
     root = U / np.sqrt(w) @ U.T  # M^{-1/2} is its tiling, applied by 2x2 blocks
     mu, W = np.linalg.eigh(_tiled(root, _tiled(root, K.T).T))
@@ -309,12 +305,12 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
         # 1D: the pair (K, I) keeps the eigenvectors orthonormal, so the 1D
         # pseudo-inverse rounds as the dense one does; 2D: M = P1^T P1 / 2
         M_block = np.eye(2) if config.dim == 1 else P.block.T @ P.block / 2
-        coarse_solve = _fast_diagonal_solver(_band_matrix(K), M_block, config.dim, periodic)
+        coarse_solve = _fast_diagonal_solver(K, M_block, config.dim, periodic)
     return TwoLevelOperators(config, params, A, s, P, coarse_solve)
 
 
 class Preconditioner:
-    """The 1D M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up:
+    """The M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up:
     M @ Y is apply_preconditioner, np.asarray(M) is dense under the cap."""
 
     def __init__(self, ops: TwoLevelOperators):
@@ -329,16 +325,14 @@ class Preconditioner:
 
 
 def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
-    """The 1D M^{-1} of a set-up: apply it by `@`, densify it by np.asarray."""
-    if ops.config.dim != 1:
-        raise ConfigError("preconditioner_matrix is 1D only; use apply_preconditioner in 2D")
+    """The M^{-1} of a set-up: apply it by `@`, densify it by np.asarray."""
     return Preconditioner(ops)
 
 
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
     """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
     then the coarse correction of its residual, for a vector or a stack of
-    columns g (preconditioner_matrix(ops) @ g in 1D); P^T is _on_grid with
+    columns g (preconditioner_matrix(ops) @ g); P^T is _on_grid with
     the transposed 4x2 block, on each axis of the fine grid."""
     x = ops.params.alpha * ops.smoother_scale * g
     r, dim = g - ops.A @ x, ops.config.dim

@@ -102,7 +102,8 @@ def test_criterion_02_nonlinear_system_consistency(clustering_solution):
 
 
 def test_criterion_03_perfect_clustering(clustering_solution):
-    _, pairs = lfa.eigenvalues_over_theta(clustering_solution.params, 100)
+    cosines = np.cos(np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False))
+    pairs = lfa.eigenvalues_closed_form_at(cosines, clustering_solution.params)
     mods = np.abs(pairs)
     spread = mods.max() - mods.mean()
     spread = max(spread, mods.mean() - mods.min())

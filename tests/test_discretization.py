@@ -134,6 +134,15 @@ def test_config_validation():
         assemble_2d(DiscretizationConfig(4, 2.0, DIR, 1))
 
 
+def test_config_rejects_non_integer_meshes():
+    # a float J would give a float ndof and a string an untyped TypeError;
+    # any integral type, numpy's among them, is a mesh size
+    for cells in (4.0, "4"):
+        with pytest.raises(ConfigError, match="integer"):
+            DiscretizationConfig(cells, 2.0)
+    assert DiscretizationConfig(np.int64(4), 2.0).ndof == 8
+
+
 def test_dense_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         assemble_2d(DiscretizationConfig(34, 2.0, DIR, 2))

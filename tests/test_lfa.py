@@ -20,7 +20,7 @@ from dgml.twolevel import (
     error_matrix,
     smoother_scale,
 )
-from dgml import cli, lfa, optimize, twolevel
+from dgml import cli, lfa, twolevel
 
 PER = BoundaryCondition.PERIODIC
 
@@ -158,8 +158,8 @@ def test_coarse_band_is_the_galerkin_coarse_symbol(monkeypatch, J):
     # slot t of block column k is K's block at block row k+t-1, so it
     # couples a cell to its (1-t)-th neighbour
     bands = []
-    original = twolevel._band_matrix
-    monkeypatch.setattr(twolevel, "_band_matrix", lambda K: bands.append(K) or original(K))
+    original = twolevel._fast_diagonal_solver
+    monkeypatch.setattr(twolevel, "_fast_diagonal_solver", lambda band, *a: bands.append(band) or original(band, *a))
     k = np.arange(J // 2)
     phases = np.exp(1j * np.outer(4.0 * np.pi * k / J, [1, 0, -1]))
     for params in (MethodParams(8.0 / 9.0, 2.0, 0.5), random_params(np.random.default_rng(J))):
@@ -242,7 +242,8 @@ def test_closed_form_conjugate_pair_when_radicand_negative():
 
 
 def test_flat_spectrum_at_clustering_triple(clustering_triple):
-    _, pairs = lfa.eigenvalues_over_theta(clustering_triple, 100)
+    cosines = np.cos(np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False))
+    pairs = lfa.eigenvalues_closed_form_at(cosines, clustering_triple)
     mods = np.abs(pairs)
     assert mods.max() - mods.min() < 1e-8
     assert abs(mods.mean() - 0.19732) < 1e-4
@@ -440,7 +441,7 @@ def test_degenerate_cosines_are_named():
     assert not same_outcome(lfa.eigenvalues_closed_form_at, closed_form_pairs, 7.0, p)
 
 
-@pytest.mark.parametrize("closed_form", ["symbol_radius", "eigenvalues_closed_form_at", "predicted_radius"])
+@pytest.mark.parametrize("closed_form", ["symbol_radius", "eigenvalues_closed_form_at"])
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_closed_form_names_an_overflowing_penalty(closed_form, cast):
     # float components have always raised OverflowError here; np.float64 ones
@@ -448,7 +449,6 @@ def test_closed_form_names_an_overflowing_penalty(closed_form, cast):
     f = {
         "symbol_radius": lfa.symbol_radius,
         "eigenvalues_closed_form_at": lambda p: lfa.eigenvalues_closed_form_at(1.0, p),
-        "predicted_radius": optimize.predicted_radius,
     }[closed_form]
     with pytest.raises(lfa.DegenerateParameterError):
         f(MethodParams(0.5, cast(1e80), 0.5))

@@ -136,7 +136,8 @@ def test_clustering_parameters_residuals():
 def test_clustering_radius(clustering_triple):
     sol = optimize.clustering_parameters()
     assert abs(sol.rho - 0.19732) < 1e-4
-    _, pairs = lfa.eigenvalues_over_theta(sol.params, 100)
+    cosines = np.cos(np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False))
+    pairs = lfa.eigenvalues_closed_form_at(cosines, sol.params)
     mods = np.abs(pairs)
     assert abs(mods.max() - 0.19732) < 1e-4
 
@@ -276,7 +277,8 @@ def test_radius_ordering_of_presets(clustering_triple):
 
 
 def test_flat_spectrum_invariant(clustering_triple):
-    _, pairs = lfa.eigenvalues_over_theta(clustering_triple, 100)
+    cosines = np.cos(np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False))
+    pairs = lfa.eigenvalues_closed_form_at(cosines, clustering_triple)
     mods = np.abs(pairs)
     assert mods.max() - mods.min() < 1e-8
 

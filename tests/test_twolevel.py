@@ -166,13 +166,15 @@ def test_apply_preconditioner_zero():
 
 
 @pytest.mark.parametrize("bc", [DIR, PER])
-def test_apply_preconditioner_matches_dense_formula(bc):
-    cfg = DiscretizationConfig(8, 1.9, bc)
+@pytest.mark.parametrize("J", [2, 4, 8])
+def test_apply_preconditioner_matches_dense_formula(bc, J):
+    # periodic J = 2 and 4 add the coarse wrap blocks onto filled blocks
+    cfg = DiscretizationConfig(J, 1.9, bc)
     params = MethodParams(0.77, 1.9, 0.33)
     ops = build_two_level(cfg, params)
     Minv = dense_two_level(cfg, params).Minv
     rng = np.random.default_rng(1)
-    G = rng.standard_normal((16, 2))
+    G = rng.standard_normal((cfg.ndof, 2))
     for g in (G, G[:, 0]):  # a stack of columns and a vector
         y = apply_preconditioner(ops, g)
         assert y.shape == g.shape
@@ -193,6 +195,7 @@ def test_apply_preconditioner_2d_matches_dense_formula(bc, J):
         y = apply_preconditioner(ops, g)
         assert y.shape == g.shape
         assert relative_error(y, expected) < 1e-12
+        np.testing.assert_array_equal(preconditioner_matrix(ops) @ g, y)
 
 
 def test_preconditioned_spectrum_real_positive_clustered(clustering_triple):
@@ -342,12 +345,6 @@ def test_operators_hold_no_dense_matrix_and_densify_under_the_cap(monkeypatch, d
         with pytest.raises(SizeCapError):
             np.asarray(op)
     assert (ops.A @ np.ones(cfg.ndof)).shape == (cfg.ndof,)  # applying needs no dense matrix
-
-
-def test_preconditioner_matrix_is_1d_only():
-    ops = build_two_level(DiscretizationConfig(4, 2.0, DIR, 2), MethodParams(0.9, 2.0, 0.5))
-    with pytest.raises(ConfigError, match="apply_preconditioner"):
-        preconditioner_matrix(ops)
 
 
 def test_dirichlet_coarse_inverses_are_chunk_sized(monkeypatch):
