@@ -62,6 +62,14 @@ class SizeCapError(ValueError):
     """Requested dense operator exceeds the configured size cap."""
 
 
+def check_real(**values) -> None:
+    """Raise ConfigError unless each named value is a real number, so that a
+    string fails as a configuration error, not in a later comparison."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def dense_cap() -> int:
     """Row cap for dense operators; override with env var DGML_DENSE_CAP."""
     return int(os.environ.get("DGML_DENSE_CAP", DEFAULT_DENSE_CAP))
@@ -87,6 +95,9 @@ class DiscretizationConfig:
     def __post_init__(self):
         if not isinstance(self.cells_per_dim, numbers.Integral):
             raise ConfigError(f"cells_per_dim must be an integer, got {self.cells_per_dim!r}")
+        if not isinstance(self.bc, BoundaryCondition):  # users test it by identity
+            raise ConfigError(f"bc must be a BoundaryCondition, got {self.bc!r}")
+        check_real(penalty=self.penalty)
         if self.cells_per_dim < 2 or self.cells_per_dim % 2 != 0:
             raise ConfigError(
                 f"cells_per_dim must be even and >= 2 (coarsening by 2), "
@@ -175,6 +186,8 @@ class SystemOperator:
 
     def __matmul__(self, X) -> np.ndarray:
         X = np.asarray(X)
+        if X.ndim == 1 and self.config.dim == 1:  # each GMRES step; rounds as below
+            return np.einsum("ij,ij->i", self.weights, X[self.cols])
         n = len(self.cols)
         G = X.reshape(*(n,) * self.config.dim, *X.shape[1:])  # the grid axes first
         Y = np.einsum("ij,ij...->i...", self.weights, G[self.cols])
@@ -195,9 +208,10 @@ def _cell_band(A: SystemOperator) -> np.ndarray:
     land on one place when J/2 <= 2 stay apart."""
     cols, vals = A._stencil
     rows = np.arange(len(cols))[:, None]
-    band = np.zeros((len(cols) // 4, 3, 4, 4))
-    np.add.at(band, (rows // 4, cols // 4 - rows // 4 + 1, rows % 4, cols % 4), vals)
-    return band
+    # the flat index of [k, t, row % 4, column % 4] in the band
+    flat = ((rows // 4 * 3 + cols // 4 - rows // 4 + 1) * 4 + rows % 4) * 4 + cols % 4
+    m = len(cols) // 4
+    return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * 48).reshape(m, 3, 4, 4)
 
 
 def source_vector(config: DiscretizationConfig) -> np.ndarray:

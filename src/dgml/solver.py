@@ -55,38 +55,41 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     if max_iter is None:
         max_iter = b.size
     r0 = apply_M(b)
-    beta = float(np.linalg.norm(r0))
+    beta = _norm(r0)
     history = [beta]
     if beta == 0.0:
-        return SolveReport(0, history, False, np.zeros_like(b), float(np.linalg.norm(b)))
+        return SolveReport(0, history, False, np.zeros_like(b), _norm(b))
 
+    # the Hessenberg columns, rotations and g are Python floats: each costs
+    # one rounding, as a numpy scalar would, at a fraction of the overhead
     basis = [r0 / beta]  # Krylov basis as rows
     columns = []  # rotated Hessenberg column j, length j + 1
     cs, sn, g = [], [], [beta]
     converged = False
     for j in range(max_iter):
         w = apply_M(apply_A(basis[j]))
-        h = np.empty(j + 2)
-        for i in range(j + 1):  # modified Gram-Schmidt
-            h[i] = basis[i] @ w
-            w = w - h[i] * basis[i]
-        h[j + 1] = np.linalg.norm(w)
-        happy = h[j + 1] <= 1e-14 * beta
+        h = [float(basis[0] @ w)]  # modified Gram-Schmidt
+        w = w - h[0] * basis[0]  # a new array, which the later steps update
+        for v in basis[1:]:
+            h.append(float(v @ w))
+            w -= h[-1] * v
+        below = _norm(w)  # the subdiagonal entry h[j + 1]
+        happy = below <= 1e-14 * beta
         if not happy:
-            basis.append(w / h[j + 1])
+            basis.append(w / below)
         for i in range(j):  # apply stored rotations to the new column
             h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
-        denom = math.hypot(h[j], h[j + 1])
+        denom = math.hypot(h[j], below)
         if denom == 0.0:
             break
         cs.append(h[j] / denom)
-        sn.append(h[j + 1] / denom)
+        sn.append(below / denom)
         h[j] = denom
-        columns.append(h[: j + 1])
+        columns.append(h)
         g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
         history.append(abs(g[j + 1]))
-        converged = bool(history[-1] <= tol * beta)
+        converged = history[-1] <= tol * beta
         if converged or happy:
             break
 
@@ -94,8 +97,13 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     R = np.zeros((m, m))  # upper-triangular factor of the Hessenberg matrix
     for j, column in enumerate(columns):
         R[: j + 1, j] = column
-    x = np.linalg.solve(R, g[:m]) @ np.array(basis)[:m]
-    return SolveReport(m, history, converged, x, float(np.linalg.norm(b - apply_A(x))))
+    x = np.linalg.solve(R, g[:m]) @ np.array(basis[:m])
+    return SolveReport(m, history, converged, x, _norm(b - apply_A(x)))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float vector, as np.linalg.norm computes it."""
+    return math.sqrt(v @ v)
 
 
 def stationary_solve(

@@ -60,6 +60,7 @@ from .discretization import (
     SystemOperator,
     _cell_band,
     check_dense_cap,
+    check_real,
 )
 
 
@@ -80,6 +81,7 @@ class MethodParams:
     discontinuity: float
 
     def __post_init__(self):
+        check_real(alpha=self.alpha, penalty=self.penalty, discontinuity=self.discontinuity)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 1.0 < self.penalty < np.inf:
@@ -202,9 +204,11 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray
     before the chunk.  One batched inv inverts all interiors; the
     separators' Schur complement is again block tridiagonal and is solved
     the same way until N <= L, where one dense inv of at most 2L rows ends
-    the recursion.  Set-up and storage are O(N L), and a solve is a few
-    batched products per level, O(N L) flops per column.  A singular
-    interior or last block raises LinAlgError.
+    the recursion.  Both sweeps of a level are fixed linear maps, stored at
+    set-up as one stacked matrix per chunk, so a solve is one batched
+    product forward, the separators' solve and one batched product back per
+    level.  Set-up and storage are O(N L), and a solve is O(N L) flops per
+    column.  A singular interior or last block raises LinAlgError.
     """
     N = len(diag)
     if N <= _CHUNK:
@@ -228,16 +232,31 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray
     schur = D[:, -1] - up @ right[:, -2:]
     schur[:-1] -= down.swapaxes(1, 2) @ left[:, :2]
     separators = _condensed_solver(schur, -up[1:] @ left[:, -2:])
+    # fwd maps a chunk's interior and separator rows to three results: the
+    # interior solved alone; the separator's right-hand side less the
+    # interior's share, right^T times the interior rows (T^{-1} is
+    # symmetric); and the interior's share of the previous separator's,
+    # left^T times them.  back maps the previous and the own separator's
+    # solution to their share of the interior solution
+    n = 2 * L - 2
+    fwd = np.zeros((C, n + 4, n + 2))
+    fwd[:, :n, :n] = interior
+    fwd[:, n:-2, :n] = -right.swapaxes(1, 2)
+    fwd[:, n:-2, n:] = np.eye(2)
+    fwd[1:, -2:, :n] = -left.swapaxes(1, 2)
+    back = np.zeros((C, n, 4))
+    back[1:, :, :2], back[:, :, 2:] = left, right
 
     def solve(Y: np.ndarray) -> np.ndarray:
         Z = np.zeros((C, 2 * L, Y.size // (2 * N)))
         Z.reshape(2 * C * L, -1)[: 2 * N] = Y.reshape(2 * N, -1)
-        Z[:, :-2] = interior @ Z[:, :-2]
-        Z[:, -2:] -= up @ Z[:, -4:-2]
-        Z[:-1, -2:] -= down.swapaxes(1, 2) @ Z[1:, :2]
-        Z[:, -2:] = separators(Z[:, -2:])
-        Z[:, :-2] -= right @ Z[:, -2:]
-        Z[1:, :-2] -= left @ Z[:-1, -2:]
+        F = fwd @ Z
+        F[:-1, -4:-2] += F[1:, -2:]
+        X = separators(F[:, -4:-2])
+        pairs = np.empty((C, 4, Z.shape[-1]))  # [previous; own] separator
+        pairs[0, :2], pairs[1:, :2], pairs[:, 2:] = 0.0, X[:-1], X
+        np.subtract(F[:, :-4], back @ pairs, out=Z[:, :-2])
+        Z[:, -2:] = X
         return Z.reshape(2 * C * L, -1)[: 2 * N].reshape(Y.shape)
 
     return solve

@@ -15,9 +15,12 @@ closed form, the radius taken from it and the np.polyval bisection: the
 references that lfa's real-arithmetic radius and optimize's Horner
 bisection must reproduce bit for bit.  loop_nelder_mead builds and shrinks
 the simplex vertex by vertex and takes the centroid by mean, the reference
-of optimize.nelder_mead's iterates.
+of optimize.nelder_mead's iterates.  loop_gmres keeps the Hessenberg column
+in an array and the rotations in numpy scalars and takes norms by
+np.linalg.norm, the reference that solver.gmres must reproduce bit for bit.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,3 +219,40 @@ def loop_nelder_mead(f, x0, steps, max_evals=2000):
         history.append(float(fvals.min()))
     order = np.argsort(fvals)
     return sim[order][0], float(fvals[order][0]), nfev, history
+
+
+def loop_gmres(apply_A, apply_M, b, tol):
+    """Left-preconditioned MGS GMRES from zero with the Hessenberg column in
+    an array; returns (iterations, residual history, solution)."""
+    r0 = apply_M(b)
+    beta = float(np.linalg.norm(r0))
+    basis, columns, cs, sn, g, history = [r0 / beta], [], [], [], [beta], [beta]
+    for j in range(len(b)):
+        w = apply_M(apply_A(basis[j]))
+        h = np.empty(j + 2)
+        for i in range(j + 1):
+            h[i] = basis[i] @ w
+            w = w - h[i] * basis[i]
+        h[j + 1] = np.linalg.norm(w)
+        happy = h[j + 1] <= 1e-14 * beta
+        if not happy:
+            basis.append(w / h[j + 1])
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+        denom = math.hypot(h[j], h[j + 1])
+        if denom == 0.0:
+            break
+        cs.append(h[j] / denom)
+        sn.append(h[j + 1] / denom)
+        h[j] = denom
+        columns.append(h[: j + 1])
+        g.append(-sn[j] * g[j])
+        g[j] = cs[j] * g[j]
+        history.append(abs(g[j + 1]))
+        if history[-1] <= tol * beta or happy:
+            break
+    m = len(columns)
+    R = np.zeros((m, m))
+    for j, column in enumerate(columns):
+        R[: j + 1, j] = column
+    return m, history, np.linalg.solve(R, g[:m]) @ np.array(basis)[:m]

@@ -6,11 +6,13 @@ from dgml.discretization import (
     ConfigError,
     DiscretizationConfig,
     SizeCapError,
+    SystemOperator,
     assemble_1d,
     assemble_2d,
     dense_cap,
     source_vector,
 )
+from dgml.twolevel import MethodParams
 from helpers import sipg_1d_loop
 
 PER = BoundaryCondition.PERIODIC
@@ -141,6 +143,31 @@ def test_config_rejects_non_integer_meshes():
         with pytest.raises(ConfigError, match="integer"):
             DiscretizationConfig(cells, 2.0)
     assert DiscretizationConfig(np.int64(4), 2.0).ndof == 8
+
+
+def test_config_rejects_untyped_values():
+    # every user tests bc by identity, so a string "dirichlet" assembled the
+    # periodic A while the set-up took the Dirichlet paths; a string penalty
+    # or method parameter failed in a comparison with a bare TypeError
+    for make in (
+        lambda: DiscretizationConfig(8, 2.0, "dirichlet"),
+        lambda: DiscretizationConfig(4, "2.0"),
+        lambda: MethodParams("0.5", 2.0, 0.5),
+        lambda: MethodParams(0.5, 2.0, None),
+    ):
+        with pytest.raises(ConfigError):
+            make()
+    assert DiscretizationConfig(4, np.float64(2.0), BoundaryCondition("periodic")).bc is PER
+
+
+@pytest.mark.parametrize("bc", [PER, DIR])
+@pytest.mark.parametrize("J", [2, 4, 8])
+def test_vector_apply_is_the_column_apply(J, bc):
+    # A @ x on a 1D vector takes its own einsum; it must round as the
+    # stack-of-columns path does
+    A = SystemOperator(DiscretizationConfig(J, 1.7, bc))
+    x = np.random.default_rng(J).standard_normal(2 * J)
+    np.testing.assert_array_equal(A @ x, (A @ x[:, None])[:, 0])
 
 
 def test_dense_cap(monkeypatch):

@@ -12,6 +12,7 @@ from dgml.twolevel import (
 )
 from dgml.solver import gmres, stationary_solve
 from dgml import spectrum
+from helpers import loop_gmres
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -118,6 +119,33 @@ def test_gmres_breakdown_on_singular_operator():
     assert rep.residual_history == pytest.approx([np.sqrt(2.0), 1.0])
     assert rep.true_residual == pytest.approx(1.0)
     np.testing.assert_allclose(A @ rep.solution, [1.0, 0.0], atol=1e-14)
+
+
+def reference_cases(clustering_triple):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 40)) + 5 * np.eye(40)  # nonnormal
+    yield (lambda v: A @ v), None, rng.standard_normal(40), 1e-13
+    singular = np.diag([1.0, 0.0])  # the zero rotated column
+    yield (lambda v: singular @ v), None, np.array([1.0, 1.0]), 1e-8
+    for bc in (DIR, PER):
+        cfg = DiscretizationConfig(64, clustering_triple.penalty, bc)
+        ops = build_two_level(cfg, clustering_triple)
+        Minv = preconditioner_matrix(ops)
+        b = rng.standard_normal(cfg.ndof)
+        if bc is PER:  # a consistent load
+            b -= b.mean()
+        yield (lambda v, A=ops.A: A @ v), (lambda v, M=Minv: M @ v), b, 1e-12
+
+
+def test_gmres_is_the_loop_reference(clustering_triple):
+    # the Hessenberg column and rotations in Python floats, the in-place
+    # MGS updates and the norms by math.sqrt round as the reference does
+    for apply_A, apply_M, b, tol in reference_cases(clustering_triple):
+        rep = gmres(apply_A, apply_M, b, tol=tol)
+        iterations, history, solution = loop_gmres(apply_A, apply_M or (lambda v: v), b, tol)
+        assert rep.iterations == iterations and rep.iterations > 0
+        assert rep.residual_history == history
+        np.testing.assert_array_equal(rep.solution, solution)
 
 
 BAD_INPUTS = [
