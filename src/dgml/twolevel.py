@@ -32,7 +32,12 @@ A2 = A1 (x) I + I (x) A1, A0 = K (x) M + M (x) K with M = P1^T P1 / 2 in 2D
 (the restriction scale cancels).  A0 is never stored: it lives only in the
 coarse solve.  The 1D Dirichlet K is factored once by
 recursive static condensation over chunks of rows (_condensed_solver), in
-O(m) set-up, memory and flops per column.  Every other coarse solve is a
+O(m) set-up, memory and flops per column.  There the restriction of the
+smoothed residual, R (I - alpha*s*A), maps each coarse cell from a window of
+eight fine dofs (_restriction_blocks), so the set-up composes it into the
+condensation's forward map (_restricted): M^{-1} g is one gather of g, one
+batched product, the separators' solve and one batched product back, then
+P and alpha*s*g.  Every other coarse solve is a
 fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one
 eigendecomposition of the m x m pair (K, M), M = I in 1D, in O(m^3) where a
 dense 2D inverse costs O(m^6).  Periodic A0 is singular with the constant
@@ -167,7 +172,9 @@ class TwoLevelOperators:
     maps Y to A0^{-1} Y (the pseudo-inverse when periodic) for a vector or
     a matrix Y and holds at most m x m arrays (the 1D Dirichlet chunk
     inverses or the eigenvectors of the pair (K, M)), never A0 or a dense
-    inverse of it.
+    inverse of it.  smoothed_coarse_solve maps g to A0^{-1} R (I - alpha*s*A) g,
+    the coarse part of M^{-1}: in 1D Dirichlet one condensation solve with
+    the restriction composed in, otherwise A, P^T and coarse_solve in turn.
     """
 
     config: DiscretizationConfig
@@ -176,9 +183,10 @@ class TwoLevelOperators:
     smoother_scale: float
     P: Prolongation
     coarse_solve: Callable[[np.ndarray], np.ndarray]
+    smoothed_coarse_solve: Callable[[np.ndarray], np.ndarray]
 
 
-_CHUNK = 32  # block rows per condensation chunk, chosen by measurement
+_CHUNK = 16  # block rows per condensation chunk, chosen by measurement
 
 
 def _tridiagonal(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -194,9 +202,27 @@ def _tridiagonal(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return T.reshape(*lead, 2 * n, 2 * n)
 
 
-def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Y -> T^{-1} Y for T = _tridiagonal(diag, sub) of N block rows, by the
-    block partition method (Wang, ACM TOMS 7, 1981) applied recursively.
+def _restricted(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """M R for each of C chunks: M (C, a, 2L) maps the chunk's L block rows,
+    and R maps a window of 4L+4 entries to those rows, block row j by
+    blocks[:, j] (2 x 8) on the window's entries 4j ... 4j+7.  R is formed
+    one chunk at a time, so the work arrays stay one chunk's size."""
+    C, a, n = M.shape
+    j, r, q = np.ix_(np.arange(n // 2), np.arange(2), np.arange(8))
+    R, MR = np.zeros((n, 2 * n + 4)), np.empty((C, a, 2 * n + 4))
+    for c in range(C):
+        R[2 * j + r, 4 * j + q] = blocks[c]
+        np.matmul(M[c], R, out=MR[c])
+    return MR
+
+
+def _condensed_solver(diag: np.ndarray, sub: np.ndarray, restriction: np.ndarray, rows=None):
+    """The pair of solves Y -> (T^{-1} Y)[rows] and g -> (T^{-1} R g)[rows]
+    for T = _tridiagonal(diag, sub) of N block rows, from one factorization
+    by the block partition method (Wang, ACM TOMS 7, 1981) applied
+    recursively.  Block row k of R is restriction[k] (2 x 8) on entries
+    4k-2 ... 4k+5 of g; those outside g weigh 0 there.  Y and g are vectors
+    or stacks of columns, and rows defaults to all 2N.
 
     The rows form chunks of L = _CHUNK, the last one padded with identity
     blocks that couple to nothing.  Each chunk's first L-1 rows, its
@@ -205,15 +231,25 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray
     separators' Schur complement is again block tridiagonal and is solved
     the same way until N <= L, where one dense inv of at most 2L rows ends
     the recursion.  Both sweeps of a level are fixed linear maps, stored at
-    set-up as one stacked matrix per chunk, so a solve is one batched
-    product forward, the separators' solve and one batched product back per
-    level.  Set-up and storage are O(N L), and a solve is O(N L) flops per
-    column.  A singular interior or last block raises LinAlgError.
+    set-up as one stacked matrix per chunk.  The forward map reads the
+    chunk's rows of Y or, composed with R, which is local to a chunk, its
+    window of 4L+4 entries of g.  The separators' solve reads the chunks'
+    last four forward results through an R of its own, which adds each
+    chunk's share of the next separator's right-hand side, and returns
+    each chunk's previous and own separator; up to 2L separators, it is one
+    dense product, formed at set-up by that solve on the identity.  A solve
+    is one gather and one batched product forward, the separators' solve
+    and one batched product back per level.  Set-up and storage are
+    O(N L), and a solve is O(N L) flops per column.  A singular interior or
+    last block raises LinAlgError.
     """
     N = len(diag)
+    rows = slice(2 * N) if rows is None else rows
     if N <= _CHUNK:
         inverse = np.linalg.inv(_tridiagonal(diag, sub))
-        return lambda Y: (inverse @ Y.reshape(2 * N, -1)).reshape(Y.shape)
+        selected = inverse[rows]
+        fused = _restricted(inverse[None], restriction[None])[0, rows, 2:-2]  # T^{-1} R, 4N columns
+        return (lambda Y: selected @ Y), (lambda g: fused @ g)
     L, C = _CHUNK, -(-N // _CHUNK)
     D, S = np.tile(np.eye(2), (C * L, 1, 1)), np.zeros((C * L, 2, 2))
     D[:N], S[: N - 1] = diag, sub
@@ -231,35 +267,54 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray) -> Callable[[np.ndarray
     left = ends[1:, :, :2] @ down
     schur = D[:, -1] - up @ right[:, -2:]
     schur[:-1] -= down.swapaxes(1, 2) @ left[:, :2]
-    separators = _condensed_solver(schur, -up[1:] @ left[:, -2:])
-    # fwd maps a chunk's interior and separator rows to three results: the
-    # interior solved alone; the separator's right-hand side less the
-    # interior's share, right^T times the interior rows (T^{-1} is
-    # symmetric); and the interior's share of the previous separator's,
-    # left^T times them.  back maps the previous and the own separator's
-    # solution to their share of the interior solution
+    # fwd maps a chunk's interior and separator rows to: the interior solved
+    # alone; a zero pair, the slot of the separator's solution; the
+    # interior's share of the previous separator's right-hand side, left^T
+    # times the interior rows (T^{-1} is symmetric); and the separator's
+    # right-hand side less the interior's share, right^T times them.  back
+    # maps the previous and the own separator's solution to the interior's
+    # solution, less its forward result, and to the separator's own (chunk
+    # 0 reads the last separator as its previous, which back weighs 0)
     n = 2 * L - 2
-    fwd = np.zeros((C, n + 4, n + 2))
+    fwd = np.zeros((C, n + 6, n + 2))
     fwd[:, :n, :n] = interior
-    fwd[:, n:-2, :n] = -right.swapaxes(1, 2)
-    fwd[:, n:-2, n:] = np.eye(2)
-    fwd[1:, -2:, :n] = -left.swapaxes(1, 2)
-    back = np.zeros((C, n, 4))
-    back[1:, :, :2], back[:, :, 2:] = left, right
+    fwd[1:, n + 2 : n + 4, :n] = -left.swapaxes(1, 2)
+    fwd[:, n + 4 :, :n] = -right.swapaxes(1, 2)
+    fwd[:, n + 4 :, n:] = np.eye(2)
+    back = np.zeros((C, n + 2, 4))
+    back[1:, :n, :2], back[:, :n, 2:], back[:, n:, 2:] = left, right, -np.eye(2)
+    del T, interior  # the set-up's largest arrays, before R is composed
+    # the separators' right-hand sides: each chunk's last two forward
+    # results plus the next chunk's previous share, entries 4c+2 ... 4c+5
+    # of the chunks' last four results
+    shift = np.zeros((C, 2, 8))
+    shift[:, :, 4:6], shift[:-1, :, 6:] = np.eye(2), np.eye(2)
+    pairs = (2 * np.arange(C)[:, None] + np.arange(-2, 2)).ravel() % (2 * C)
+    _, separators = _condensed_solver(schur, -up[1:] @ left[:, -2:], shift, pairs)
+    if C <= 2 * L:  # cheaper than a level of at most two chunks
+        dense = separators(np.eye(4 * C))
+        separators = lambda G: dense @ G
+
+    def sweep(F: np.ndarray) -> np.ndarray:
+        """The chunks' forward results to the (2 C L, columns) solution."""
+        X = separators(F[:, -4:].reshape(4 * C, -1)).reshape(C, 4, -1)
+        return (F[:, :-4] - back @ X).reshape(2 * C * L, -1)
+
+    blocks = np.zeros((C * L, 2, 8))
+    blocks[:N] = restriction
+    fused = _restricted(fwd, blocks.reshape(C, L, 2, 8))
+    # the entries each chunk reads, clipped to Y and g: what the padded rows
+    # read reaches only their own results, and R weighs g's missing ends 0
+    inputs = np.minimum(np.arange(2 * C * L).reshape(C, 2 * L), 2 * N - 1)
+    window = np.clip(4 * L * np.arange(C)[:, None] + np.arange(-2, 4 * L + 2), 0, 4 * N - 1)
 
     def solve(Y: np.ndarray) -> np.ndarray:
-        Z = np.zeros((C, 2 * L, Y.size // (2 * N)))
-        Z.reshape(2 * C * L, -1)[: 2 * N] = Y.reshape(2 * N, -1)
-        F = fwd @ Z
-        F[:-1, -4:-2] += F[1:, -2:]
-        X = separators(F[:, -4:-2])
-        pairs = np.empty((C, 4, Z.shape[-1]))  # [previous; own] separator
-        pairs[0, :2], pairs[1:, :2], pairs[:, 2:] = 0.0, X[:-1], X
-        np.subtract(F[:, :-4], back @ pairs, out=Z[:, :-2])
-        Z[:, -2:] = X
-        return Z.reshape(2 * C * L, -1)[: 2 * N].reshape(Y.shape)
+        return sweep(fwd @ Y[inputs].reshape(C, 2 * L, -1))[rows].reshape(-1, *Y.shape[1:])
 
-    return solve
+    def restricted_solve(g: np.ndarray) -> np.ndarray:
+        return sweep(fused @ g[window].reshape(C, 4 * L + 4, -1))[rows].reshape(-1, *g.shape[1:])
+
+    return solve, restricted_solve
 
 
 def _fast_diagonal_solver(band: np.ndarray, M_block: np.ndarray, dim: int, periodic: bool):
@@ -299,6 +354,17 @@ def _fast_diagonal_solver(band: np.ndarray, M_block: np.ndarray, dim: int, perio
     return solve
 
 
+def _restriction_blocks(band: np.ndarray, block: np.ndarray, a_s: float) -> np.ndarray:
+    """R (I - a_s A) in 1D, R = P1^T / 2, by coarse cell: (J/2, 2, 8), block k
+    mapping fine dofs 4k-2 ... 4k+5 to coarse dofs 2k and 2k+1.  band is A's
+    _cell_band; A's rows in cell k reach no further, and a Dirichlet band
+    gives the dofs outside the interval weight 0."""
+    rows = np.concatenate([band[:, 0, :, 2:], band[:, 1], band[:, 2, :, :2]], axis=2)
+    rows *= -a_s
+    rows[:, :, 2:6] += np.eye(4)
+    return block.T @ rows / 2
+
+
 def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLevelOperators:
     """Assemble system, smoother, transfers and coarse solve in one go.
 
@@ -310,14 +376,17 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     s = smoother_scale(config, params)
     check_dense_cap(config.ndof)  # the same limit as np.asarray of A and P
     A, P = SystemOperator(config), Prolongation(config, params.discontinuity)
+    a_s, band = params.alpha * s, _cell_band(A)
     # K's band: [k, t] is its block at block row k+t-1 and block column k,
     # associated as the dense R A P, (A1 P1)^T / 2 @ P1, so each entry rounds
     # as it does
-    K = (_cell_band(A) @ P.block).swapaxes(2, 3) / 2 @ P.block
+    K = (band @ P.block).swapaxes(2, 3) / 2 @ P.block
     periodic = config.bc is BoundaryCondition.PERIODIC
     if config.dim == 1 and not periodic:
+        restriction = _restriction_blocks(band, P.block, a_s)
+        del band  # the condensation below sets the set-up's memory peak
         try:  # K's diagonal blocks and K[k+1, k]
-            coarse_solve = _condensed_solver(K[:, 1], K[:-1, 2])
+            coarse_solve, smoothed_coarse_solve = _condensed_solver(K[:, 1], K[:-1, 2], restriction)
         except np.linalg.LinAlgError as exc:
             raise SingularCoarseError(f"coarse operator not invertible: {exc}") from exc
     else:
@@ -325,7 +394,14 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
         # pseudo-inverse rounds as the dense one does; 2D: M = P1^T P1 / 2
         M_block = np.eye(2) if config.dim == 1 else P.block.T @ P.block / 2
         coarse_solve = _fast_diagonal_solver(K, M_block, config.dim, periodic)
-    return TwoLevelOperators(config, params, A, s, P, coarse_solve)
+        n, dim = 2 * config.cells_per_dim, config.dim
+
+        def smoothed_coarse_solve(g: np.ndarray) -> np.ndarray:
+            # P^T is _on_grid with the transposed 4x2 block, on each grid axis
+            r = g - A @ (a_s * g)
+            return coarse_solve(_on_grid(P.block.T, r, n, dim) / 2**dim)
+
+    return TwoLevelOperators(config, params, A, s, P, coarse_solve, smoothed_coarse_solve)
 
 
 class Preconditioner:
@@ -349,14 +425,10 @@ def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
 
 
 def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
-    """M^{-1} g from the stored operators: the smoothing step x = alpha*s*g,
-    then the coarse correction of its residual, for a vector or a stack of
-    columns g (preconditioner_matrix(ops) @ g); P^T is _on_grid with
-    the transposed 4x2 block, on each axis of the fine grid."""
-    x = ops.params.alpha * ops.smoother_scale * g
-    r, dim = g - ops.A @ x, ops.config.dim
-    C = _on_grid(ops.P.block.T, r, 2 * ops.config.cells_per_dim, dim) / 2**dim
-    return x + ops.P @ ops.coarse_solve(C)
+    """M^{-1} g from the stored operators, for a vector or a stack of columns
+    g (preconditioner_matrix(ops) @ g): the smoothing step alpha*s*g plus P
+    times the coarse solve of its residual's restriction."""
+    return ops.params.alpha * ops.smoother_scale * g + ops.P @ ops.smoothed_coarse_solve(g)
 
 
 def _dense(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:

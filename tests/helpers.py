@@ -101,7 +101,10 @@ def dense_two_level(config, params):
         A, P = np.kron(A, eye) + np.kron(eye, A), np.kron(P, P)
     R = P.T / 2**dim
     A0 = R @ A @ P
-    if config.bc is BoundaryCondition.PERIODIC:
+    periodic = config.bc is BoundaryCondition.PERIODIC
+    if dim == 1:
+        A0inv = refined_inverse(coarse_band(A0), periodic)
+    elif periodic:
         A0inv = np.linalg.pinv(A0, rcond=1e-10, hermitian=True)
     else:
         A0inv = np.linalg.inv(A0)
@@ -256,3 +259,55 @@ def loop_gmres(apply_A, apply_M, b, tol):
     for j, column in enumerate(columns):
         R[: j + 1, j] = column
     return m, history, np.linalg.solve(R, g[:m]) @ np.array(basis)[:m]
+
+
+def coarse_band(K):
+    """The (m/2, 3, 2, 2) band of a dense block-tridiagonal coarse operator
+    with periodic wrap: [k, t] is its 2x2 block at block row k+t-1 (mod
+    m/2) and block column k.  When m/2 <= 2 the slots name some block
+    twice; each block is then kept in one slot only, so that the band's
+    sum is K."""
+    M = len(K) // 2
+    band, seen = np.zeros((M, 3, 2, 2)), set()
+    for t in (1, 0, 2):
+        for k in range(M):
+            i = (k + t - 1) % M
+            if (i, k) not in seen:
+                seen.add((i, k))
+                band[k, t] = K[2 * i : 2 * i + 2, 2 * k : 2 * k + 2]
+    return band
+
+
+def band_residual(K_band, X, periodic):
+    """I - K X, or (I - 11^T/m) - K X when periodic, in np.longdouble, with
+    K X taken block by block through the band: O(m^2) per column stack."""
+    M, m = len(K_band), 2 * len(K_band)
+    band, Xb = K_band.astype(np.longdouble), X.astype(np.longdouble).reshape(M, 2, -1)
+    R = np.eye(m, X.shape[1], dtype=np.longdouble)
+    if periodic:
+        R -= np.longdouble(1) / m
+    R = R.reshape(M, 2, -1)
+    for t in range(3):  # block column k reaches block row k + t - 1
+        R -= np.roll(np.einsum("kab,kbc->kac", band[:, t], Xb), t - 1, axis=0)
+    return R.reshape(m, -1)
+
+
+def refined_inverse(K_band, periodic):
+    """K^{-1}, or the pseudo-inverse K^+ when periodic (kernel: the
+    constants), for the coarse operator of a band (see coarse_band): the
+    float64 inv or pinv X0, then up to three steps X += X0 R with the
+    residual R of band_residual, taken in np.longdouble."""
+    M = len(K_band)
+    K = np.zeros((2 * M, 2 * M))
+    for k in range(M):
+        for t in range(3):
+            i = (k + t - 1) % M
+            K[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] += K_band[k, t]
+    X0 = np.linalg.pinv(K, rcond=1e-10, hermitian=True) if periodic else np.linalg.inv(K)
+    X = X0.copy()
+    for _ in range(3):
+        step = X0 @ band_residual(K_band, X, periodic).astype(float)
+        X += step
+        if np.abs(step).max() <= np.finfo(float).eps * np.abs(X).max():
+            break
+    return X

@@ -104,6 +104,22 @@ def test_gmres_sweep(tmp_path):
     ET.parse(tmp_path / "run_gmres.svg")
 
 
+@pytest.mark.parametrize(
+    "bc, expected",
+    [
+        ("dirichlet", {"classical": [8, 8, 7, 7, 6], "clustering": [4, 4, 4, 4, 4]}),
+        ("periodic", {"classical": [3] * 5, "clustering": [3] * 5}),
+    ],
+)
+def test_gmres_sweep_iteration_counts_at_defaults(tmp_path, bc, expected):
+    # the iteration column at the default J = 16 ... 256 is a contract: a
+    # cheaper M^{-1} may move final_relres at rounding, never a count
+    assert run(tmp_path, "gmres-sweep", "--bc", bc) == 0
+    rows = [line.split(",") for line in read(tmp_path, "_gmres.csv").strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["16", "32", "64", "128", "256"] * 2
+    assert {preset: [int(r[2]) for r in rows if r[1] == preset] for preset in expected} == expected
+
+
 def test_gmres_sweep_loose_tolerance(tmp_path):
     assert run(tmp_path, "gmres-sweep", "--cells-list", "16", "--preset", "clustering",
                "--tol", "0.5") == 0
