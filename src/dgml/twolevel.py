@@ -217,12 +217,13 @@ def _restricted(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _condensed_solver(diag: np.ndarray, sub: np.ndarray, restriction: np.ndarray, rows=None):
-    """The pair of solves Y -> (T^{-1} Y)[rows] and g -> (T^{-1} R g)[rows]
-    for T = _tridiagonal(diag, sub) of N block rows, from one factorization
-    by the block partition method (Wang, ACM TOMS 7, 1981) applied
+    """The solves Y -> T^{-1} Y and g -> (T^{-1} R g)[rows] for
+    T = _tridiagonal(diag, sub) of N block rows, from one factorization by
+    the block partition method (Wang, ACM TOMS 7, 1981) applied
     recursively.  Block row k of R is restriction[k] (2 x 8) on entries
     4k-2 ... 4k+5 of g; those outside g weigh 0 there.  Y and g are vectors
-    or stacks of columns, and rows defaults to all 2N.
+    or stacks of columns.  rows defaults to all 2N; the inner levels, which
+    pass rows, need only the second solve, and get None for the first.
 
     The rows form chunks of L = _CHUNK, the last one padded with identity
     blocks that couple to nothing.  Each chunk's first L-1 rows, its
@@ -237,19 +238,18 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray, restriction: np.ndarray
     last four forward results through an R of its own, which adds each
     chunk's share of the next separator's right-hand side, and returns
     each chunk's previous and own separator; up to 2L separators, it is one
-    dense product, formed at set-up by that solve on the identity.  A solve
-    is one gather and one batched product forward, the separators' solve
-    and one batched product back per level.  Set-up and storage are
-    O(N L), and a solve is O(N L) flops per column.  A singular interior or
-    last block raises LinAlgError.
+    dense product (beyond L, formed at set-up by their level of two chunks
+    on the identity).  A solve is one gather and one batched product
+    forward, the separators' solve and one batched product back per level.
+    Set-up and storage are O(N L), and a solve is O(N L) flops per column.
+    A singular interior or last block raises LinAlgError.
     """
-    N = len(diag)
-    rows = slice(2 * N) if rows is None else rows
+    N, top = len(diag), rows is None
+    rows = slice(2 * N) if top else rows
     if N <= _CHUNK:
         inverse = np.linalg.inv(_tridiagonal(diag, sub))
-        selected = inverse[rows]
         fused = _restricted(inverse[None], restriction[None])[0, rows, 2:-2]  # T^{-1} R, 4N columns
-        return (lambda Y: selected @ Y), (lambda g: fused @ g)
+        return (lambda Y: inverse @ Y) if top else None, (lambda g: fused @ g)
     L, C = _CHUNK, -(-N // _CHUNK)
     D, S = np.tile(np.eye(2), (C * L, 1, 1)), np.zeros((C * L, 2, 2))
     D[:N], S[: N - 1] = diag, sub
@@ -291,7 +291,9 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray, restriction: np.ndarray
     shift[:, :, 4:6], shift[:-1, :, 6:] = np.eye(2), np.eye(2)
     pairs = (2 * np.arange(C)[:, None] + np.arange(-2, 2)).ravel() % (2 * C)
     _, separators = _condensed_solver(schur, -up[1:] @ left[:, -2:], shift, pairs)
-    if C <= 2 * L:  # cheaper than a level of at most two chunks
+    # beyond L and up to 2L separators, one product is about a fifth
+    # faster than their level of two chunks (one apply at J = 1,024, 2 cores)
+    if L < C <= 2 * L:
         dense = separators(np.eye(4 * C))
         separators = lambda G: dense @ G
 
@@ -303,16 +305,19 @@ def _condensed_solver(diag: np.ndarray, sub: np.ndarray, restriction: np.ndarray
     blocks = np.zeros((C * L, 2, 8))
     blocks[:N] = restriction
     fused = _restricted(fwd, blocks.reshape(C, L, 2, 8))
-    # the entries each chunk reads, clipped to Y and g: what the padded rows
-    # read reaches only their own results, and R weighs g's missing ends 0
-    inputs = np.minimum(np.arange(2 * C * L).reshape(C, 2 * L), 2 * N - 1)
+    # the entries each chunk reads, clipped to g and Y: R weighs g's missing
+    # ends 0, and what the padded rows read reaches only their own results
     window = np.clip(4 * L * np.arange(C)[:, None] + np.arange(-2, 4 * L + 2), 0, 4 * N - 1)
-
-    def solve(Y: np.ndarray) -> np.ndarray:
-        return sweep(fwd @ Y[inputs].reshape(C, 2 * L, -1))[rows].reshape(-1, *Y.shape[1:])
 
     def restricted_solve(g: np.ndarray) -> np.ndarray:
         return sweep(fused @ g[window].reshape(C, 4 * L + 4, -1))[rows].reshape(-1, *g.shape[1:])
+
+    if not top:
+        return None, restricted_solve
+    inputs = np.minimum(np.arange(2 * C * L).reshape(C, 2 * L), 2 * N - 1)
+
+    def solve(Y: np.ndarray) -> np.ndarray:
+        return sweep(fwd @ Y[inputs].reshape(C, 2 * L, -1))[rows].reshape(-1, *Y.shape[1:])
 
     return solve, restricted_solve
 

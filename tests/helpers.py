@@ -278,25 +278,27 @@ def coarse_band(K):
     return band
 
 
-def band_residual(K_band, X, periodic):
-    """I - K X, or (I - 11^T/m) - K X when periodic, in np.longdouble, with
-    K X taken block by block through the band: O(m^2) per column stack."""
+def band_residual(K_band, X, periodic, Y=None):
+    """Y - K X, or (I - 11^T/m) Y - K X when periodic, in np.longdouble, for
+    a stack of columns X and Y (the identity by default), with K X taken
+    block by block through the band: O(m) per column."""
     M, m = len(K_band), 2 * len(K_band)
     band, Xb = K_band.astype(np.longdouble), X.astype(np.longdouble).reshape(M, 2, -1)
-    R = np.eye(m, X.shape[1], dtype=np.longdouble)
+    R = (np.eye(m, X.shape[1]) if Y is None else Y).astype(np.longdouble)
     if periodic:
-        R -= np.longdouble(1) / m
+        R -= R.sum(axis=0) / m
     R = R.reshape(M, 2, -1)
     for t in range(3):  # block column k reaches block row k + t - 1
         R -= np.roll(np.einsum("kab,kbc->kac", band[:, t], Xb), t - 1, axis=0)
     return R.reshape(m, -1)
 
 
-def refined_inverse(K_band, periodic):
-    """K^{-1}, or the pseudo-inverse K^+ when periodic (kernel: the
-    constants), for the coarse operator of a band (see coarse_band): the
-    float64 inv or pinv X0, then up to three steps X += X0 R with the
-    residual R of band_residual, taken in np.longdouble."""
+def refined_solve(K_band, Y, periodic):
+    """K^{-1} Y, or K^+ Y when periodic (kernel: the constants), for the
+    coarse operator of a band (see coarse_band) and a stack of columns Y:
+    the float64 inv or pinv X0 applied to Y, then up to three steps
+    X += X0 R with the residual R of band_residual, taken in
+    np.longdouble."""
     M = len(K_band)
     K = np.zeros((2 * M, 2 * M))
     for k in range(M):
@@ -304,10 +306,16 @@ def refined_inverse(K_band, periodic):
             i = (k + t - 1) % M
             K[2 * i : 2 * i + 2, 2 * k : 2 * k + 2] += K_band[k, t]
     X0 = np.linalg.pinv(K, rcond=1e-10, hermitian=True) if periodic else np.linalg.inv(K)
-    X = X0.copy()
+    X = X0 @ Y
     for _ in range(3):
-        step = X0 @ band_residual(K_band, X, periodic).astype(float)
+        step = X0 @ band_residual(K_band, X, periodic, Y).astype(float)
         X += step
         if np.abs(step).max() <= np.finfo(float).eps * np.abs(X).max():
             break
     return X
+
+
+def refined_inverse(K_band, periodic):
+    """K^{-1}, or the pseudo-inverse K^+ when periodic: refined_solve of
+    the identity."""
+    return refined_solve(K_band, np.eye(2 * len(K_band)), periodic)
