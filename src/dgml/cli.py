@@ -79,12 +79,12 @@ def _positive(kind):
 
 @lru_cache(maxsize=None)
 def preset_params(name: str) -> MethodParams:
-    """Resolve a named parameter preset."""
+    """Resolve a named parameter preset.  classical and alpha-delta are constants, the paper's
+    exact 1D minimax optima (certified in rational arithmetic; the 1D searches cross-check them)."""
     if name in ("classical", "classical-1d"):
         return MethodParams(8.0 / 9.0, 2.0, 0.5)
     if name in ("alpha-delta", "alpha-delta-1d"):
-        alpha, d0, _ = optimize.optimize_1d_alpha_delta(0.5)
-        return MethodParams(alpha, d0, 0.5)
+        return MethodParams(0.9, 1.5, 0.5)
     if name in ("clustering", "clustering-1d"):
         return optimize.clustering_parameters().params
     raise KeyError(f"unknown preset {name!r}")

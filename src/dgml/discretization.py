@@ -186,6 +186,8 @@ class SystemOperator:
 
     def __matmul__(self, X) -> np.ndarray:
         X = np.asarray(X)
+        if len(X) != self.shape[1]:  # one comparison: it runs on every GMRES step
+            raise ValueError(f"A @ X needs {self.shape[1]} rows, got X of shape {X.shape}")
         if X.ndim == 1 and self.config.dim == 1:  # each GMRES step; rounds as below
             return np.einsum("ij,ij->i", self.weights, X[self.cols])
         n = len(self.cols)

@@ -29,6 +29,8 @@ class SolveReport:
 
 def _checked(b, tol, max_iter) -> np.ndarray:
     b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"b must be a 1-D vector, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("b must be finite")
     if not 0 <= tol < math.inf:  # NaN too
@@ -57,7 +59,7 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
     r0 = apply_M(b)
     beta = _norm(r0)
     history = [beta]
-    if beta == 0.0:
+    if beta == 0.0 or max_iter == 0:
         return SolveReport(0, history, False, np.zeros_like(b), _norm(b))
 
     # the Hessenberg columns, rotations and g are Python floats: each costs

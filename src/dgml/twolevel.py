@@ -151,7 +151,10 @@ class Prolongation:
         self.shape = (config.ndof, config.ndof // 2**config.dim)
 
     def __matmul__(self, Y) -> np.ndarray:
-        return _on_grid(self.block, np.asarray(Y), self.config.cells_per_dim, self.config.dim)
+        Y = np.asarray(Y)
+        if len(Y) != self.shape[1]:  # one comparison: it runs on every GMRES step
+            raise ValueError(f"P @ Y needs {self.shape[1]} rows, got Y of shape {Y.shape}")
+        return _on_grid(self.block, Y, self.config.cells_per_dim, self.config.dim)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         check_dense_cap(self.shape[0])

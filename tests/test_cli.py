@@ -11,9 +11,9 @@ import pytest
 
 from helpers import cell_fourier_basis, projected_block
 
-from dgml import cli, lfa
+from dgml import cli, lfa, optimize
 from dgml.solver import gmres
-from dgml.twolevel import SingularCoarseError, build_two_level, error_matrix
+from dgml.twolevel import MethodParams, SingularCoarseError, build_two_level, error_matrix
 
 
 def run(tmp_path, *argv):
@@ -328,13 +328,28 @@ def test_gmres_sweep_beyond_dense_cap_is_usage_error(tmp_path, monkeypatch, caps
 def test_preset_resolution(clustering_triple):
     classical = cli.preset_params("classical")
     assert classical.as_tuple() == (8.0 / 9.0, 2.0, 0.5)
-    ad = cli.preset_params("alpha-delta")
-    assert abs(ad.alpha - 0.9) < 5e-3 and abs(ad.penalty - 1.5) < 5e-3
-    assert ad.discontinuity == 0.5
+    for name in ("alpha-delta", "alpha-delta-1d"):
+        assert cli.preset_params(name) == MethodParams(0.9, 1.5, 0.5)
     cl = cli.preset_params("clustering")
     np.testing.assert_allclose(cl.as_tuple(), clustering_triple.as_tuple(), atol=1e-8)
     with pytest.raises(KeyError):
         cli.preset_params("nope")
+
+
+def test_presets_resolve_without_a_search(monkeypatch):
+    # every preset but numeric-2d is a constant or the quartic roots
+    def searched(*args, **kwargs):
+        raise AssertionError("a preset ran an optimizer")
+
+    for name in ("optimize_1d_alpha_delta", "optimize_1d_alpha", "nelder_mead", "golden_section"):
+        monkeypatch.setattr(optimize, name, searched)
+    cli.preset_params.cache_clear()
+    try:
+        for name in (*cli.PRESETS_1D, *cli.PRESETS_2D):
+            if name != "numeric-2d":
+                cli.preset_params(name)
+    finally:
+        cli.preset_params.cache_clear()
 
 
 def test_importing_dgml_loads_no_scipy():

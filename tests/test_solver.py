@@ -155,6 +155,7 @@ BAD_INPUTS = [
     ({"tol": -1e-8}, "tol"),
     ({"tol": np.inf}, "tol"),
     ({"max_iter": -1}, "max_iter"),
+    ({"b": np.ones((3, 1))}, "b"),  # a column, not a vector
 ]
 
 
@@ -169,6 +170,14 @@ def solve_diagonal(solve, bad):
 def test_gmres_rejects_bad_inputs(bad, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         solve_diagonal(gmres, bad)
+
+
+def test_gmres_max_iter_zero_takes_no_step():
+    rep = solve_diagonal(gmres, {"max_iter": 0})
+    assert rep.iterations == 0 and not rep.converged
+    assert rep.solution.shape == (3,) and not rep.solution.any()  # a vector, not the scalar 0.0
+    assert rep.residual_history == [pytest.approx(np.sqrt(1 + 1 / 4 + 1 / 9))]  # |M^{-1} b| only
+    assert rep.true_residual == pytest.approx(np.sqrt(3.0))
 
 
 def test_gmres_preconditioned_agrees_with_direct(clustering_triple):

@@ -396,6 +396,22 @@ def test_operators_hold_no_dense_matrix_and_densify_under_the_cap(monkeypatch, d
     assert (ops.A @ np.ones(cfg.ndof)).shape == (cfg.ndof,)  # applying needs no dense matrix
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_operators_reject_operands_of_the_wrong_length(bc, dim):
+    # A maps fine to fine and P coarse to fine: an operand with any other
+    # row count is named, not cut or tiled to a wrong-sized result
+    cfg = DiscretizationConfig(8, 2.0, bc, dim)
+    ops = build_two_level(cfg, MethodParams(0.9, 2.0, 0.5))
+    n, m = ops.P.shape
+    for op, rows, wrong in ((ops.A, n, (n + 1, n - 1, m)), (ops.P, m, (n, m + 1, 2 * m))):
+        for length in wrong:
+            for shape in ((length,), (length, 3)):
+                with pytest.raises(ValueError, match=rf"needs {rows} rows, got \w of shape \({length},"):
+                    op @ np.ones(shape)
+        assert (op @ np.ones((rows, 3))).shape == (n, 3)
+
+
 def test_dirichlet_coarse_inverses_are_chunk_sized(monkeypatch):
     # the 1D Dirichlet set-up inverts nothing with more than 2 _CHUNK rows,
     # up to the size cap; a LinAlgError at any of its inv calls surfaces as
