@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -351,6 +351,7 @@ def cmd_lfa_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="dgml", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)

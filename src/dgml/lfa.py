@@ -182,10 +182,14 @@ _RADIUS_COSINES = np.cos(np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
 def symbol_radius(params: MethodParams) -> float:
     """max |lambda| over a 256-point theta grid: the two-level convergence
     factor.  The even count keeps both phase extremes cos = +/-1 on the
-    grid, where non-clustered spectra attain their maximum.  In real arithmetic,
-    |center| + sqrt(q) where q >= 0 and hypot(center, sqrt(-q)) where q < 0."""
+    grid, bit for bit, so this radius is never below the radius there.  No
+    proof says the maximum sits at the extremes; the exact 1D optimizers
+    minimize the radius at the two extremes and check at each result that
+    this grid radius equals it up to rounding (``optimize._certified``).
+    In real arithmetic, |center| + sqrt(q) where q >= 0 and
+    hypot(center, sqrt(-q)) where q < 0."""
     center, q = _closed_form_parts(_RADIUS_COSINES, params)
-    if q.min() >= 0:  # all pairs real, as at every 1D optimizer iterate: no hypot, no select
+    if q.min() >= 0:  # all pairs real, as at the 1D optimizers' results: no hypot, no select
         return float((np.abs(center) + np.sqrt(q)).max())
     root = np.sqrt(np.abs(q))
     return float(np.where(q >= 0, np.abs(center) + root, np.hypot(center, root)).max())

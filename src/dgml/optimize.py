@@ -3,16 +3,25 @@
 The spectrum-clustering triple (alpha, delta0, c) solves a nonlinear
 3-equation system that removes every frequency dependence from the error
 symbol's eigenvalues; its components are roots of three quartics, each
-bisected on its bracket.  Baseline choices (relaxation
-only, or relaxation plus penalty, at continuous interpolation c = 1/2) are
-found by direct minimization of the two-level convergence factor, and the
-2D optimum by Nelder-Mead on the spectral radius of the 2D error operator
+bisected on its bracket.  Baseline choices (relaxation only, or relaxation
+plus penalty, at continuous interpolation c = 1/2) minimize the two-level
+convergence factor exactly at the phase extremes cos(theta) = +/-1: there
+each eigenvalue of lfa's closed form is 1 + mu*alpha, so the radius is the
+larger of two lines in alpha (and of a convex hypot piece where rounding
+makes a pair complex), minimized at their crossing or a bracket end; delta0
+is where the derivative of that minimum in delta0 (a complex step through
+``lfa._coefficients``) changes sign.  One ``lfa.symbol_radius`` call
+certifies each result on the 256-point grid.  The 2D optimum is found by
+Nelder-Mead on the spectral radius of the 2D error operator
 (``spectrum.two_level_error_eigenvalues``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +36,15 @@ DISCONTINUITY_QUARTIC = (4.0, -8.0, 8.0, -8.0, 3.0)  # c in (0, 1)
 PENALTY_QUARTIC = (12.0, -32.0, 24.0, -4.0, -1.0)  # delta0 in (1, 10)
 RELAXATION_QUARTIC = (183.0, -352.0, 214.0, -40.0, -1.0)  # alpha in (0, 1)
 
+# brackets of the exact 1D optimizers: alpha for both, delta0 for
+# optimize_1d_alpha_delta (which never evaluates delta0 = 1)
+ALPHA_RANGE = (1e-4, 1.0)
+PENALTY_RANGE = (1.0, 10.0)
+# imaginary step of the complex-step derivative in delta0: small enough that
+# no square root near a zero radicand feels it
+_COMPLEX_STEP = 1e-150
+_real = operator.attrgetter("real")
+
 
 class NewtonDivergenceError(RuntimeError):
     """Newton iteration failed to converge; carries the last iterate."""
@@ -34,6 +52,12 @@ class NewtonDivergenceError(RuntimeError):
     def __init__(self, message, last_iterate):
         super().__init__(message)
         self.last_iterate = tuple(last_iterate)
+
+
+class UncertifiedOptimumError(ArithmeticError):
+    """The 256-point LFA radius at a 1D optimizer's result exceeds its radius
+    at cos(theta) = +/-1 by more than rounding: a frequency inside the range
+    is active there, so the exact endpoint minimum is not the grid minimum."""
 
 
 @dataclass(frozen=True)
@@ -238,28 +262,131 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
     return NelderMeadResult(sim[order][0], float(fvals[order][0]), nfev, history)
 
 
+def _sqrt(z):
+    return cmath.sqrt(z) if isinstance(z, complex) else math.sqrt(z)
+
+
+def _extremes(alpha, d0, c) -> list[tuple]:
+    """(centre, q, q's rounding) of the closed-form pair centre +/- sqrt(q)
+    at cos(theta) = 1 and -1, in scalar float or complex arithmetic and in
+    the operation order of ``lfa._closed_form_parts``.  The rounding bound
+    is a few units of eps on the radicand numerator's terms, which cancel
+    where the pair is nearly double."""
+    try:
+        (n0, n1), (e0, e1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(alpha, d0, c)
+        out = []
+        for x in (1.0, -1.0):
+            s = s0 + s1 * x + s2 * x * x
+            rounding = 4 * sys.float_info.epsilon * (abs(r0) + abs(r1) + abs(r2)) / abs(s)
+            out.append(((n0 + n1 * x) / (e0 + e1 * x), (r0 + r1 * x + r2 * x * x) / s, rounding))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise lfa.DegenerateParameterError(
+            f"closed form undefined at cos = +/-1 for (alpha, delta0, c) = {(alpha, d0, c)}"
+        ) from exc
+    return out
+
+
+def _minimize_alpha(d0, c) -> tuple:
+    """(alpha, radius) minimizing over ALPHA_RANGE the largest eigenvalue
+    modulus at cos(theta) = +/-1; d0 may carry a complex step.
+
+    At alpha = 0 the centre's numerator equals its denominator (no smoothing
+    leaves the coarse correction's eigenvalue 1) and every radicand
+    coefficient carries alpha^2, so from the terms at alpha = 1 the centre
+    is 1 + a*alpha and the radicand q*alpha^2.  A real pair gives the lines
+    1 + (a +/- sqrt(q))*alpha, whose largest modulus for alpha > 0 is the
+    larger of 1 + top*alpha and -1 - bottom*alpha over their slopes; a pair
+    that rounding makes complex (q < 0) gives the convex modulus
+    sqrt(1 + 2*a*alpha + (a^2 - q)*alpha^2).  The minimum of their maximum
+    lies at a bracket end, a crossing or a hypot piece's vertex.
+    """
+    lines, hypots = [], []
+    for centre, q, _ in _extremes(1.0, d0, c):
+        a = centre - 1.0
+        if q.real >= 0:
+            root = _sqrt(q)
+            lines += (a + root, a - root)
+        else:
+            hypots.append((a, q))
+    lo, hi = ALPHA_RANGE
+    candidates = [lo, hi]
+    # each piece as (b, g) with modulus^2 = 1 + 2*b*alpha + g*alpha^2
+    squares = [(a, a * a - q) for a, q in hypots]
+    if lines:
+        top, bottom = max(lines, key=_real), min(lines, key=_real)
+        if top + bottom != 0:
+            candidates.append(-2 / (top + bottom))
+        squares += [(top, top * top), (bottom, bottom * bottom)]
+    for i, (a, g) in enumerate(squares[:len(hypots)]):  # a hypot's vertex and later crossings
+        candidates.append(-a / g)
+        candidates += [2 * (b - a) / (g - h) for b, h in squares[i + 1:] if g != h]
+
+    def radius(alpha):
+        moduli = [1 + top * alpha, -1 - bottom * alpha] if lines else []
+        moduli += [_sqrt((1 + a * alpha) ** 2 - q * alpha * alpha) for a, q in hypots]
+        return max(moduli, key=_real)
+
+    return min(((alpha, radius(alpha)) for alpha in candidates if lo <= alpha.real <= hi),
+               key=lambda pair: pair[1].real)
+
+
+def _certified(alpha: float, d0: float, c: float) -> float:
+    """symbol_radius at (alpha, d0, c) once it agrees with the closed form at
+    cos(theta) = +/-1, which the 256-point grid holds exactly.
+
+    The grid radius is at least the endpoint radius at every alpha, so where
+    the two agree at the endpoint minimum, that point also minimizes the grid
+    radius.  Agreement allows 8 ulp plus sqrt's share of the radicand's
+    rounding, which moves grid points next to a nearly double pair; beyond
+    that raises UncertifiedOptimumError.
+    """
+    grid = lfa.symbol_radius(MethodParams(alpha, d0, c))
+    ends = slack = 0.0
+    for centre, q, rounding in _extremes(alpha, d0, c):
+        root = math.sqrt(abs(q))
+        ends = max(ends, abs(centre) + root if q >= 0 else math.hypot(centre, root))
+        slack = max(slack, rounding / (2 * root) if q > rounding else math.sqrt(rounding))
+    if not abs(grid - ends) <= 8 * math.ulp(ends) + slack:
+        raise UncertifiedOptimumError(
+            f"grid radius {grid!r} is not the radius {ends!r} at cos = +/-1 "
+            f"(tolerance {8 * math.ulp(ends) + slack:.1e}) at (alpha, delta0, c) = {(alpha, d0, c)}"
+        )
+    return grid
+
+
 def optimize_1d_alpha(penalty: float, c: float) -> tuple[float, float]:
-    """Best relaxation for fixed (penalty, c): minimizes the two-level
-    convergence factor over a dense phase grid."""
-
-    def objective(alpha):
-        return lfa.symbol_radius(MethodParams(alpha, penalty, c))
-
-    return golden_section(objective, 1e-4, 1.0, tol=1e-9)
+    """Best relaxation in ALPHA_RANGE for fixed (penalty, c), as (alpha, rho):
+    alpha minimizes the radius at cos(theta) = +/-1 exactly (to rounding),
+    and rho is its certified 256-point radius."""
+    MethodParams(ALPHA_RANGE[1], penalty, c)  # raises ConfigError on a bad (penalty, c)
+    alpha, _ = _minimize_alpha(penalty, c)
+    return alpha, _certified(alpha, penalty, c)
 
 
 def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
-    """Best (relaxation, penalty) for fixed c; returns (alpha, delta0, rho)."""
+    """Best (relaxation, penalty) for fixed c in ALPHA_RANGE x (1, 10], as
+    (alpha, delta0, rho).
 
-    def objective(v):
-        alpha, d0 = v
-        if not (0.0 < alpha <= 1.0 and d0 > 1.0):
-            return np.inf
-        return lfa.symbol_radius(MethodParams(alpha, d0, c))
-
-    result = nelder_mead(objective, (0.9, 1.8), steps=(0.05, 0.2), max_evals=400)
-    alpha, d0 = result.x
-    return alpha, d0, result.fval
+    The endpoint minimum over alpha falls and then rises with delta0: its
+    derivative changes sign once on (1, 10] at every c sampled in
+    [1e-3, 1 - 1e-3]; at c <= 1e-4 rounding also flips it within 1e-5 of
+    delta0 = 1, far from the minimum near 1.618.  delta0 is bisected, down
+    to adjacent floats, on that sign, the derivative taken exactly to
+    rounding by a complex step (Squire & Trapp, SIAM Rev. 40, 1998).  The
+    sign changes where the active branches switch and equioscillate (at
+    c = 1/2, three of them at 1/5 at (0.9, 1.5)), or at a stationary point
+    of one branch (alpha = 1, c above about 0.8).  rho is the certified
+    256-point radius.
+    """
+    MethodParams(ALPHA_RANGE[1], PENALTY_RANGE[1], c)  # raises ConfigError on a bad c
+    lo, hi = PENALTY_RANGE
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _minimize_alpha(complex(mid, _COMPLEX_STEP), c)[1].imag < 0:
+            lo = mid
+        else:
+            hi = mid
+    alpha, _ = _minimize_alpha(hi, c)
+    return alpha, hi, _certified(alpha, hi, c)
 
 
 def optimize_2d(

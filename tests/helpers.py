@@ -15,7 +15,11 @@ closed form, the radius taken from it and the np.polyval bisection: the
 references that lfa's real-arithmetic radius and optimize's Horner
 bisection must reproduce bit for bit.  loop_nelder_mead builds and shrinks
 the simplex vertex by vertex and takes the centroid by mean, the reference
-of optimize.nelder_mead's iterates.  loop_gmres keeps the Hessenberg column
+of optimize.nelder_mead's iterates.  search_1d_alpha and
+search_1d_alpha_delta are the golden-section and Nelder-Mead searches the
+1D optimizers ran before their exact solve, with the same brackets, start
+and steps, on reference_symbol_radius: the radii that the exact optimizers
+must match or beat.  loop_gmres keeps the Hessenberg column
 in an array and the rotations in numpy scalars and takes norms by
 np.linalg.norm, the reference that solver.gmres must reproduce bit for bit.
 """
@@ -25,9 +29,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dgml import lfa
+from dgml import lfa, optimize
 from dgml.discretization import BoundaryCondition
-from dgml.twolevel import smoother_scale
+from dgml.twolevel import MethodParams, smoother_scale
 
 
 def cell_fourier_basis(J, k, width):
@@ -173,6 +177,27 @@ def polyval_bracketed_root(coeffs, lo, hi):
         else:
             hi, fhi = mid, fmid
     return lo if abs(flo) <= abs(fhi) else hi
+
+
+def search_1d_alpha(penalty, c):
+    """Golden section for the relaxation on [1e-4, 1]: (alpha, radius)."""
+    return optimize.golden_section(
+        lambda alpha: reference_symbol_radius(MethodParams(alpha, penalty, c)), 1e-4, 1.0, tol=1e-9
+    )
+
+
+def search_1d_alpha_delta(c):
+    """Nelder-Mead for (alpha, delta0) from (0.9, 1.8) with steps (0.05, 0.2):
+    (alpha, delta0, radius)."""
+
+    def objective(v):
+        alpha, d0 = v
+        if not (0.0 < alpha <= 1.0 and d0 > 1.0):
+            return np.inf
+        return reference_symbol_radius(MethodParams(alpha, d0, c))
+
+    result = optimize.nelder_mead(objective, (0.9, 1.8), steps=(0.05, 0.2), max_evals=400)
+    return (*result.x, result.fval)
 
 
 def loop_nelder_mead(f, x0, steps, max_evals=2000):

@@ -303,6 +303,21 @@ def test_meta_records_only_the_commands_flags(tmp_path, argv, keys):
     assert written & {"format", "tol", "cluster_tol"} == keys
 
 
+def test_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+
+    def back_to_back():
+        codes = [run(tmp_path, "optimize"), run(tmp_path, "lfa-verify", "--cells-list", "4,8")]
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return codes, capsys.readouterr(), files
+
+    reused = back_to_back()
+    cli.build_parser.cache_clear()
+    assert back_to_back() == reused and reused[0] == [0, 0]
+
+
 def test_readme_flag_table_matches_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = dict(re.findall(r"^\| `([\w-]+)` \| `(--[^`]*)` \|$", readme, flags=re.M))

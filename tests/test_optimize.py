@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import loop_nelder_mead, polyval_bracketed_root, reference_symbol_radius
+from helpers import loop_nelder_mead, polyval_bracketed_root, search_1d_alpha, search_1d_alpha_delta
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import MethodParams
@@ -93,27 +93,6 @@ def test_bracketed_root_is_the_polyval_bisection_on_seeded_polynomials():
         for form in (coeffs, tuple(coeffs.tolist()), np.round(100 * coeffs).astype(int)):
             same_root(form, lo, hi)
         assert same_root(coeffs, lo, hi)
-
-
-def test_1d_optimizers_follow_the_complex_path_radius(monkeypatch):
-    # Nelder-Mead and golden section take the same steps, evaluation by
-    # evaluation, on the complex-path radius as on symbol_radius
-    def run(radius):
-        calls = []
-
-        def counted(params):
-            calls.append(params.as_tuple())
-            return radius(params)
-
-        monkeypatch.setattr(lfa, "symbol_radius", counted)
-        return optimize.optimize_1d_alpha_delta(0.5), optimize.optimize_1d_alpha(2.0, 0.5), calls
-
-    fast = run(lfa.symbol_radius)
-    reference = run(reference_symbol_radius)
-    for have, want in zip(fast[:2], reference[:2]):
-        assert [np.float64(v).tobytes() for v in have] == [np.float64(v).tobytes() for v in want]
-    assert len(fast[2]) == len(reference[2]) > 0
-    assert fast[2] == reference[2]
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +237,77 @@ def test_nelder_mead_is_the_loop_reference(n):
             assert res.nfev == nfev and res.best_history == history
 
 
+def within_ulps(values, exact, n=4):
+    return all(abs(v - e) <= n * math.ulp(e) for v, e in zip(values, exact, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# the exact 1D optimizers
+
+
 def test_optimize_alpha_classical():
-    # the search cross-checks the exact optimum of the classical preset
-    np.testing.assert_allclose(optimize.optimize_1d_alpha(2.0, 0.5), (8 / 9, 1 / 3), rtol=0, atol=1e-9)
+    # the exact optimum of the classical preset
+    assert within_ulps(optimize.optimize_1d_alpha(2.0, 0.5), (8 / 9, 1 / 3))
 
 
 def test_optimize_alpha_delta():
-    # the search cross-checks the exact optimum of the alpha-delta preset
-    np.testing.assert_allclose(optimize.optimize_1d_alpha_delta(0.5), (0.9, 1.5, 0.2), rtol=0, atol=1e-9)
+    # the exact optimum of the alpha-delta preset
+    assert within_ulps(optimize.optimize_1d_alpha_delta(0.5), (0.9, 1.5, 0.2))
+
+
+def test_1d_optimizers_match_or_beat_the_searches():
+    # against the golden-section and Nelder-Mead searches they replace, run
+    # on the complex-path radius, over the whole (delta0, c) and c ranges
+    rng = np.random.default_rng(2911)
+    for penalty, c in zip(rng.uniform(1.0, 10.0, 200), rng.uniform(0.0, 1.0, 200)):
+        _, rho = optimize.optimize_1d_alpha(penalty, c)
+        assert rho <= search_1d_alpha(penalty, c)[1] + 1e-12, (penalty, c)
+    for c in rng.uniform(0.0, 1.0, 50):
+        *_, rho = optimize.optimize_1d_alpha_delta(c)
+        assert rho <= search_1d_alpha_delta(c)[2] + 1e-12, c
+
+
+def test_optimize_alpha_with_a_pair_rounded_complex():
+    # just above delta0 = 1 rounding makes the pair at cos(theta) = -1
+    # complex (q = -1.4e-15), which adds a hypot piece to the endpoint radius
+    penalty, c = 1.000000052101304, 0.4326658494441967
+    _, q = lfa._closed_form_parts(np.array([1.0, -1.0]), MethodParams(1.0, penalty, c))
+    assert q[1] < 0
+    _, rho = optimize.optimize_1d_alpha(penalty, c)
+    assert rho <= search_1d_alpha(penalty, c)[1] + 1e-12
+
+
+def test_1d_optimizers_evaluate_the_radius_once(monkeypatch):
+    calls = []
+    radius = lfa.symbol_radius
+    monkeypatch.setattr(lfa, "symbol_radius", lambda params: calls.append(params) or radius(params))
+
+    def searched(*args, **kwargs):
+        raise AssertionError("a 1D optimizer ran a search")
+
+    monkeypatch.setattr(optimize, "golden_section", searched)
+    monkeypatch.setattr(optimize, "nelder_mead", searched)
+    optimize.optimize_1d_alpha(2.0, 0.5)
+    assert len(calls) == 1
+    optimize.optimize_1d_alpha_delta(0.5)
+    assert len(calls) == 2
+
+
+def endpoint_radius(params):
+    return float(np.abs(lfa.eigenvalues_closed_form_at([1.0, -1.0], params)).max())
+
+
+@pytest.mark.parametrize("args", [(2.0, 0.5), (0.5,)], ids=["alpha", "alpha-delta"])
+def test_1d_optimizers_raise_without_a_certificate(monkeypatch, args):
+    # a grid radius above the radius at cos(theta) = +/-1 means an interior
+    # frequency is active, where the endpoint minimum proves nothing
+    solve = optimize.optimize_1d_alpha if len(args) == 2 else optimize.optimize_1d_alpha_delta
+    monkeypatch.setattr(lfa, "symbol_radius", endpoint_radius)
+    *point, rho = solve(*args)
+    assert rho == endpoint_radius(MethodParams(*point, *args))
+    monkeypatch.setattr(lfa, "symbol_radius", lambda params: endpoint_radius(params) + 1e-9)
+    with pytest.raises(optimize.UncertifiedOptimumError):
+        solve(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +365,60 @@ def test_baseline_presets_are_local_minima(name, phases):
         assert lfa.symbol_radius(step) > radius
 
 
+def test_certificate_allows_the_rounding_of_a_nearly_double_pair():
+    # at this c the optimum's pair at cos(theta) = 1 is nearly double, and
+    # rounding in its cancelling radicand puts a grid neighbour 17 ulp above
+    # the endpoint (a 50-digit evaluation has the maximum at the endpoint)
+    c = 0.3143196287038529
+    *point, rho = optimize.optimize_1d_alpha_delta(c)
+    ends = endpoint_radius(MethodParams(*point, c))
+    assert rho - ends == 17 * math.ulp(ends)
+
+
+def test_endpoint_terms_are_affine_in_alpha():
+    # what the exact optimizers read off lfa._coefficients, in rational
+    # arithmetic: at alpha = 0 the centre's numerator is its denominator, so
+    # the centre is 1 + a*alpha, and every radicand coefficient carries alpha^2
+    rng = np.random.default_rng(2912)
+    for _ in range(20):
+        d0, c, alpha = (F(int(n), 100) for n in rng.integers((101, 1, 1), (1000, 100, 100)))
+        num0, den, r0, _ = lfa._coefficients(F(0), d0, c)
+        assert num0 == den and r0 == (0, 0, 0)
+        num1, _, r1, _ = lfa._coefficients(F(1), d0, c)
+        num, _, r, _ = lfa._coefficients(alpha, d0, c)
+        assert num == tuple(n0 + alpha * (n1 - n0) for n0, n1 in zip(num0, num1))
+        assert r == tuple(alpha**2 * v for v in r1)
+
+
+def test_optimize_alpha_stops_at_the_bracket_end():
+    # at (delta0, c) = (2, 3/10) the extreme slopes mu = lambda - 1 at alpha = 1
+    # cross beyond alpha = 1, so alpha = 1 is optimal, with radius exactly 1/4
+    pairs = rational_pair(1, 2, F(3, 10), 1) | rational_pair(1, 2, F(3, 10), -1)
+    assert pairs == {0, F(-17, 99), F(1, 4), F(-13, 74)}
+    assert -2 / (max(pairs) + min(pairs) - 2) > 1
+    alpha, rho = optimize.optimize_1d_alpha(2.0, 0.3)
+    assert alpha == 1.0 and rho == lfa.symbol_radius(MethodParams(1.0, 2.0, 0.3))
+    assert abs(rho - 0.25) <= 8 * math.ulp(0.25)  # the float closed form is 5 ulp above 1/4 here
+
+
+def test_optimize_alpha_delta_at_c_one_fifth():
+    # at c = 1/5 the radicands at cos(theta) = +/-1 are rational squares, and
+    # near delta0 = 1.7 the extreme slopes at alpha = 1 are -2/d (x = 1) and
+    # -(2d - 1)/d^2 (x = -1).  The two moduli 2/d - 1 and (d - 1)^2/d^2 at
+    # alpha = 1 equioscillate where 2d^2 - 4d + 1 = 0, at d = 1 + 1/sqrt(2),
+    # where the lines' crossing 2d^2/(4d - 1) is alpha = 1 itself and the
+    # radius is 3 - 2*sqrt(2)
+    for d in (F(16, 10), F(17, 10), F(18, 10)):
+        slopes = sorted(lam - 1 for x in (1, -1) for lam in rational_pair(1, d, F(1, 5), x))
+        assert slopes[0] == -2 / d and slopes[-1] == -(2 * d - 1) / d**2
+    alpha, d0, rho = optimize.optimize_1d_alpha_delta(0.2)
+    root = 1 + 1 / math.sqrt(2)
+    assert alpha == 1.0 and abs(d0 - root) <= 4 * math.ulp(root)
+    exact = 1 / (3 + 2 * math.sqrt(2))  # 3 - 2*sqrt(2) without its cancellation
+    assert rho == lfa.symbol_radius(MethodParams(alpha, d0, 0.2))
+    assert abs(rho - exact) <= 64 * math.ulp(exact)  # the float closed form is 21-33 ulp above it here
+
+
 MISROUNDED = pytest.mark.xfail(strict=True, reason="bracketed_root bisects on the sign of p in floats, "
                                "which rounding noise decides within a few ulp of the root")
 
@@ -357,7 +453,7 @@ def test_radius_ordering_of_presets(clustering_triple):
     _, _, rho_ad = optimize.optimize_1d_alpha_delta(0.5)
     rho_cluster = optimize.clustering_parameters().rho
     assert rho_alpha >= rho_ad >= rho_cluster
-    assert abs(rho_ad - 0.2) < 1e-3 and abs(rho_cluster - 0.19732) < 1e-4
+    assert within_ulps((rho_alpha, rho_ad), (1 / 3, 0.2)) and abs(rho_cluster - 0.19732) < 1e-4
 
 
 def test_flat_spectrum_invariant(clustering_triple):
