@@ -2,14 +2,15 @@
 
 The spectrum-clustering triple (alpha, delta0, c) solves a nonlinear
 3-equation system that removes every frequency dependence from the error
-symbol's eigenvalues; its components are roots of three quartics, each
-bisected on its bracket.  Baseline choices (relaxation only, or relaxation
-plus penalty, at continuous interpolation c = 1/2) minimize the two-level
-convergence factor exactly at the phase extremes cos(theta) = +/-1: there
-each eigenvalue of lfa's closed form is 1 + mu*alpha, so the radius is the
-larger of two lines in alpha (and of a convex hypot piece where rounding
-makes a pair complex), minimized at their crossing or a bracket end; delta0
-is where the derivative of that minimum in delta0 (a complex step through
+symbol's eigenvalues; its components are the real roots of three quartics
+on their brackets, stored correctly rounded as the constant CLUSTERING.
+Baseline choices (relaxation only, or relaxation plus penalty, at
+continuous interpolation c = 1/2) minimize the two-level convergence factor
+exactly at the phase extremes cos(theta) = +/-1: there each eigenvalue of
+lfa's closed form is 1 + mu*alpha, so the radius is the larger of two lines
+in alpha (and of a convex hypot piece where rounding makes a pair complex),
+minimized at their crossing or a bracket end; delta0 is where the
+derivative of that minimum in delta0 (a complex step through
 ``lfa._coefficients``) changes sign.  One ``lfa.symbol_radius`` call
 certifies each result on the 256-point grid.  The 2D optimum is found by
 Nelder-Mead on the spectral radius of the 2D error operator
@@ -30,11 +31,16 @@ from . import lfa, spectrum
 from .discretization import ConfigError, DiscretizationConfig
 from .twolevel import MethodParams
 
-# quartics whose bracketed real roots give the clustering parameters,
+# quartics whose one real root on each bracket is a clustering parameter,
 # highest-degree coefficient first
 DISCONTINUITY_QUARTIC = (4.0, -8.0, 8.0, -8.0, 3.0)  # c in (0, 1)
 PENALTY_QUARTIC = (12.0, -32.0, 24.0, -4.0, -1.0)  # delta0 in (1, 10)
 RELAXATION_QUARTIC = (183.0, -352.0, 214.0, -40.0, -1.0)  # alpha in (0, 1)
+# the clustering triple: each component is the float nearest its quartic's
+# root (the exact quartic changes sign between the midpoints to the
+# neighbouring floats), 0x1.d0f9942686aa6p-1, 0x1.8458b09bdf95ep+0 and
+# 0x1.2113cfca41cb1p-1
+CLUSTERING = MethodParams(0.9081541344670157, 1.51697830014708, 0.5646042761226423)
 
 # brackets of the exact 1D optimizers: alpha for both, delta0 for
 # optimize_1d_alpha_delta (which never evaluates delta0 = 1)
@@ -75,34 +81,6 @@ class ClusteringSolution:
     failed_evals: int = 0
 
 
-def bracketed_root(coeffs, lo: float, hi: float) -> float:
-    """The root of a polynomial (highest-degree coefficient first) on a
-    bracket [lo, hi] over which it strictly changes sign.
-
-    Bisects until lo and hi are adjacent floats and returns the endpoint
-    with the smaller |p|; raises ValueError without a strict sign change.
-    p is Horner's y = y*x + a from y = 0 on floats, np.polyval's order and bits.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).tolist()
-
-    def p(x):
-        y = 0.0
-        for a in coeffs:
-            y = y * x + a
-        return y
-
-    flo, fhi = p(lo), p(hi)
-    if not (lo < hi and (flo < 0 < fhi or fhi < 0 < flo)):
-        raise ValueError(f"no strict sign change on [{lo}, {hi}]")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fmid = p(mid)
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
-
-
 def clustering_residuals(alpha: float, d0: float, c: float) -> np.ndarray:
     """Residuals of the three conditions that make the error-symbol
     eigenvalues frequency independent, read off ``lfa._coefficients``.
@@ -129,14 +107,10 @@ def clustering_system_residuals(params: MethodParams) -> tuple[float, float, flo
 
 
 def clustering_parameters() -> ClusteringSolution:
-    """The clustering triple from the three quartic roots, each bisected on
-    the bracket where its quartic changes sign once."""
-    c = bracketed_root(DISCONTINUITY_QUARTIC, 0.0, 1.0)
-    d0 = bracketed_root(PENALTY_QUARTIC, 1.0, 10.0)
-    alpha = bracketed_root(RELAXATION_QUARTIC, 0.0, 1.0)
-    params = MethodParams(alpha, d0, c)
-    res = clustering_system_residuals(params)
-    return ClusteringSolution(params, res, lfa.symbol_radius(params))
+    """CLUSTERING with its system residuals and its LFA radius."""
+    return ClusteringSolution(
+        CLUSTERING, clustering_system_residuals(CLUSTERING), lfa.symbol_radius(CLUSTERING)
+    )
 
 
 def solve_clustering_system(
@@ -395,13 +369,13 @@ def optimize_2d(
     max_evals: int = 200,
 ) -> ClusteringSolution:
     """Minimize the 2D error-operator spectral radius over the full triple by
-    Nelder-Mead, starting from the 1D clustering triple.
+    Nelder-Mead, starting from the 1D clustering triple CLUSTERING.
 
     An evaluation whose eigensolve raises LinAlgError scores +inf for the
     search and is counted in the result's failed_evals.
     """
     if initial is None:
-        initial = clustering_parameters().params
+        initial = CLUSTERING
     failed = 0
 
     def objective(v):

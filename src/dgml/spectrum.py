@@ -50,7 +50,8 @@ def eigenvalues_dense(M) -> np.ndarray:
 
 
 def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
-    """Single-linkage grouping with link distance tol.
+    """Single-linkage grouping with link distance tol; raises ValueError
+    on a value that is not finite.
 
     Eigenvalues are sorted by (real, imag) first, so the result does not
     depend on input order; clusters are returned sorted the same way.
@@ -64,6 +65,9 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     eigs = np.asarray(eigs, dtype=complex)
+    bad = eigs.size - np.count_nonzero(np.isfinite(eigs))
+    if bad:  # NaN compares false with everything, so it would stand alone
+        raise ValueError(f"{bad} of {eigs.size} eigenvalues are not finite")
     n = eigs.size
     if n == 0:
         return []
@@ -102,7 +106,7 @@ def cluster_eigenvalues(eigs, tol: float) -> list[Cluster]:
 
 def analyze(eigs, tol: float = 1e-6) -> SpectrumReport:
     """Spectrum report (eigenvalues, radius, clusters) of an eigenvalue
-    multiset."""
+    multiset; raises ValueError on a value that is not finite."""
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.ndim != 1:
         raise ValueError(f"eigenvalues must form a 1D array, got shape {eigs.shape}")

@@ -345,19 +345,22 @@ def test_preset_resolution(clustering_triple):
     assert classical.as_tuple() == (8.0 / 9.0, 2.0, 0.5)
     for name in ("alpha-delta", "alpha-delta-1d"):
         assert cli.preset_params(name) == MethodParams(0.9, 1.5, 0.5)
-    cl = cli.preset_params("clustering")
-    np.testing.assert_allclose(cl.as_tuple(), clustering_triple.as_tuple(), atol=1e-8)
+    for name in ("clustering", "clustering-1d"):
+        assert cli.preset_params(name) == optimize.CLUSTERING
+    np.testing.assert_allclose(optimize.CLUSTERING.as_tuple(), clustering_triple.as_tuple(), atol=1e-8)
     with pytest.raises(KeyError):
         cli.preset_params("nope")
 
 
 def test_presets_resolve_without_a_search(monkeypatch):
-    # every preset but numeric-2d is a constant or the quartic roots
+    # every preset but numeric-2d is a constant: resolving one computes nothing
     def searched(*args, **kwargs):
-        raise AssertionError("a preset ran an optimizer")
+        raise AssertionError("a preset ran an optimizer or evaluated a residual or radius")
 
-    for name in ("optimize_1d_alpha_delta", "optimize_1d_alpha", "nelder_mead", "golden_section"):
+    for name in ("optimize_1d_alpha_delta", "optimize_1d_alpha", "nelder_mead", "golden_section",
+                 "clustering_system_residuals"):
         monkeypatch.setattr(optimize, name, searched)
+    monkeypatch.setattr(lfa, "symbol_radius", searched)
     cli.preset_params.cache_clear()
     try:
         for name in (*cli.PRESETS_1D, *cli.PRESETS_2D):

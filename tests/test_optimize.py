@@ -13,7 +13,13 @@ from dgml import cli, lfa, optimize, spectrum
 
 
 # ---------------------------------------------------------------------------
-# bracketed polynomial roots (numpy companion-matrix roots as the oracle)
+# the clustering triple as correctly rounded quartic roots (numpy
+# companion-matrix roots as the oracle)
+
+QUARTIC_ROOT = dict(zip(
+    (optimize.RELAXATION_QUARTIC, optimize.PENALTY_QUARTIC, optimize.DISCONTINUITY_QUARTIC),
+    optimize.CLUSTERING.as_tuple(),
+))
 
 
 @pytest.mark.parametrize(
@@ -22,77 +28,14 @@ from dgml import cli, lfa, optimize, spectrum
         (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
         (optimize.PENALTY_QUARTIC, 1.0, 10.0),
         (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
-        ((1.0, 0.0, -1.0), 0.0, 2.0),
-        ((1.0, -1.8, 0.8), 0.9, 5.0),
-        ((2.0, 1.0), -1.0, 1.0),
     ],
 )
 def test_roots_match_companion_oracle(coeffs, lo, hi):
     ref = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-10 and lo < r.real < hi]
     assert len(ref) == 1
-    root = optimize.bracketed_root(coeffs, lo, hi)
+    root = QUARTIC_ROOT[coeffs]
     assert abs(root - ref[0]) < 1e-12
     assert abs(np.polyval(coeffs, root)) < 1e-12 * max(abs(c) for c in coeffs)
-
-
-def test_roots_simple_cases():
-    assert optimize.bracketed_root((1.0, 0.0, -1.0), 0.0, 2.0) == 1.0
-    assert optimize.bracketed_root((2.0, 1.0), -1.0, 1.0) == -0.5
-
-
-@pytest.mark.parametrize(
-    "coeffs,lo,hi",
-    [((1.0, 0.0, 1.0), -2.0, 2.0), ((1.0, 0.0, -1.0), 1.0, 2.0), ((1.0, -1.0), 1.0, 1.0)],
-    ids=["no-real-root", "endpoint-root", "empty-bracket"],
-)
-def test_bracketed_root_requires_strict_sign_change(coeffs, lo, hi):
-    with pytest.raises(ValueError):
-        optimize.bracketed_root(coeffs, lo, hi)
-
-
-def same_root(coeffs, lo, hi):
-    """bracketed_root gives polyval_bracketed_root's bits, or both raise."""
-    try:
-        want = polyval_bracketed_root(coeffs, lo, hi)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            optimize.bracketed_root(coeffs, lo, hi)
-        assert str(got.value) == str(exc)
-        return False
-    have = optimize.bracketed_root(coeffs, lo, hi)
-    assert np.float64(have).tobytes() == np.float64(want).tobytes(), (coeffs, lo, hi, have, want)
-    return True
-
-
-@pytest.mark.parametrize(
-    "coeffs,lo,hi",
-    [
-        (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
-        (optimize.PENALTY_QUARTIC, 1.0, 10.0),
-        (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
-        ((4, -8, 8, -8, 3), 0.0, 1.0),
-        (np.array(optimize.PENALTY_QUARTIC), 1.0, 10.0),
-        (np.array([183, -352, 214, -40, -1]), 0.0, 1.0),
-        ((1.0, 0.0, -1.0), 0.0, 2.0),
-        ((1.0, -1.8, 0.8), 0.9, 5.0),
-        ((2.0, 1.0), -1.0, 1.0),
-        ((1, 0, -2), 0, 2),
-    ],
-)
-def test_bracketed_root_is_the_polyval_bisection(coeffs, lo, hi):
-    assert same_root(coeffs, lo, hi)
-
-
-def test_bracketed_root_is_the_polyval_bisection_on_seeded_polynomials():
-    # cubics and quartics with real roots, bracketing the smallest one
-    rng = np.random.default_rng(2209)
-    for _ in range(300):
-        roots = np.sort(rng.uniform(-3.0, 3.0, rng.choice([3, 4])))
-        coeffs = np.poly(roots) * rng.uniform(-10.0, 10.0)
-        lo, hi = roots[0] - rng.uniform(0.01, 1.0), 0.5 * (roots[0] + roots[1])
-        for form in (coeffs, tuple(coeffs.tolist()), np.round(100 * coeffs).astype(int)):
-            same_root(form, lo, hi)
-        assert same_root(coeffs, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +44,9 @@ def test_bracketed_root_is_the_polyval_bisection_on_seeded_polynomials():
 
 def test_clustering_parameters_match_oracle(clustering_triple):
     sol = optimize.clustering_parameters()
+    assert sol.params == optimize.CLUSTERING
+    assert sol.residuals == optimize.clustering_system_residuals(optimize.CLUSTERING)
+    assert sol.rho == lfa.symbol_radius(optimize.CLUSTERING)
     mine = np.array(sol.params.as_tuple())
     ref = np.array(clustering_triple.as_tuple())
     np.testing.assert_allclose(mine, ref, atol=1e-10)
@@ -182,7 +128,7 @@ def test_newton_reproduces_quartic_triple(clustering_triple):
 
 
 def test_newton_fixed_point():
-    start = optimize.clustering_parameters().params
+    start = optimize.CLUSTERING
     sol = optimize.solve_clustering_system(start)
     assert sol.iterations <= 2
 
@@ -419,23 +365,24 @@ def test_optimize_alpha_delta_at_c_one_fifth():
     assert abs(rho - exact) <= 64 * math.ulp(exact)  # the float closed form is 21-33 ulp above it here
 
 
-MISROUNDED = pytest.mark.xfail(strict=True, reason="bracketed_root bisects on the sign of p in floats, "
-                               "which rounding noise decides within a few ulp of the root")
-
-
 @pytest.mark.parametrize(
-    "coeffs,index",
+    "coeffs,index,bits,bisected",
     [
-        (optimize.DISCONTINUITY_QUARTIC, 2),
-        pytest.param(optimize.PENALTY_QUARTIC, 1, marks=MISROUNDED),
-        pytest.param(optimize.RELAXATION_QUARTIC, 0, marks=MISROUNDED),
+        (optimize.DISCONTINUITY_QUARTIC, 2, "0x1.2113cfca41cb1p-1", 0),
+        (optimize.PENALTY_QUARTIC, 1, "0x1.8458b09bdf95ep+0", 1),
+        (optimize.RELAXATION_QUARTIC, 0, "0x1.d0f9942686aa6p-1", -1),
     ],
     ids=["c", "delta0", "alpha"],
 )
-def test_clustering_triple_is_correctly_rounded(coeffs, index):
+def test_clustering_triple_is_correctly_rounded(coeffs, index, bits, bisected):
+    x = optimize.CLUSTERING.as_tuple()[index]
+    assert x.hex() == bits
+    # a float bisection on the sign of p, which rounding noise decides within
+    # a few ulp of the root, lands `bisected` ulp off
+    lo, hi = (1.0, 10.0) if index == 1 else (0.0, 1.0)
+    assert polyval_bracketed_root(coeffs, lo, hi) == x + bisected * math.ulp(x)
     # the exact quartic changes sign between the midpoints to the
     # neighbouring floats, so no other float is nearer its root
-    x = optimize.clustering_parameters().params.as_tuple()[index]
 
     def p(v):
         y = Fraction(0)

@@ -115,6 +115,19 @@ def test_analyze_rejects_nan_tol():
         spectrum.analyze(np.array([0.1, 0.1 + 1e-9, 0.5]), tol=np.nan)
 
 
+@pytest.mark.parametrize(
+    "eigs,bad",
+    [([np.nan, np.nan, 1.0], 2), ([complex(0.5, np.nan), 0.2], 1), ([np.inf, -0.3], 1)],
+    ids=["nan", "nan-imag", "inf"],
+)
+def test_non_finite_eigenvalues_raise(eigs, bad):
+    # NaN compares false with everything, so it would stand alone as a
+    # cluster and turn the radius into nan
+    for call in (lambda: spectrum.cluster_eigenvalues(eigs, 1e-6), lambda: spectrum.analyze(eigs)):
+        with pytest.raises(ValueError, match=f"^{bad} of {len(eigs)} eigenvalues are not finite"):
+            call()
+
+
 def _reference_clusters(eigs, tol):
     """Union-find over the full pairwise distance matrix: the quadratic
     loop formulation that cluster_eigenvalues vectorizes."""
