@@ -13,8 +13,9 @@ from dgml import cli, lfa, optimize, spectrum
 
 
 # ---------------------------------------------------------------------------
-# the clustering triple as correctly rounded quartic roots (numpy
-# companion-matrix roots as the oracle)
+# the clustering triple as correctly rounded quartic roots, and the float
+# bisection helpers.polyval_bracketed_root that the triple is checked against
+# (numpy companion-matrix roots as the oracle)
 
 QUARTIC_ROOT = dict(zip(
     (optimize.RELAXATION_QUARTIC, optimize.PENALTY_QUARTIC, optimize.DISCONTINUITY_QUARTIC),
@@ -28,14 +29,35 @@ QUARTIC_ROOT = dict(zip(
         (optimize.DISCONTINUITY_QUARTIC, 0.0, 1.0),
         (optimize.PENALTY_QUARTIC, 1.0, 10.0),
         (optimize.RELAXATION_QUARTIC, 0.0, 1.0),
+        ((1.0, 0.0, -1.0), 0.0, 2.0),
+        ((1.0, -1.8, 0.8), 0.9, 5.0),
+        ((2.0, 1.0), -1.0, 1.0),
     ],
 )
 def test_roots_match_companion_oracle(coeffs, lo, hi):
     ref = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-10 and lo < r.real < hi]
     assert len(ref) == 1
-    root = QUARTIC_ROOT[coeffs]
-    assert abs(root - ref[0]) < 1e-12
-    assert abs(np.polyval(coeffs, root)) < 1e-12 * max(abs(c) for c in coeffs)
+    roots = [polyval_bracketed_root(coeffs, lo, hi)]
+    if coeffs in QUARTIC_ROOT:
+        roots.append(QUARTIC_ROOT[coeffs])
+    for root in roots:
+        assert abs(root - ref[0]) < 1e-12
+        assert abs(np.polyval(coeffs, root)) < 1e-12 * max(abs(c) for c in coeffs)
+
+
+def test_roots_simple_cases():
+    assert polyval_bracketed_root((1.0, 0.0, -1.0), 0.0, 2.0) == 1.0
+    assert polyval_bracketed_root((2.0, 1.0), -1.0, 1.0) == -0.5
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi",
+    [((1.0, 0.0, 1.0), -2.0, 2.0), ((1.0, 0.0, -1.0), 1.0, 2.0), ((1.0, -1.0), 1.0, 1.0)],
+    ids=["no-real-root", "endpoint-root", "empty-bracket"],
+)
+def test_bracketed_root_requires_strict_sign_change(coeffs, lo, hi):
+    with pytest.raises(ValueError):
+        polyval_bracketed_root(coeffs, lo, hi)
 
 
 # ---------------------------------------------------------------------------
