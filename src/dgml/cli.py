@@ -80,8 +80,8 @@ def _positive(kind):
 @lru_cache(maxsize=None)
 def preset_params(name: str) -> MethodParams:
     """Resolve a named parameter preset.  classical and alpha-delta are constants, the paper's
-    exact 1D minimax optima (certified in rational arithmetic; the 1D searches cross-check them),
-    and clustering is optimize.CLUSTERING, the correctly rounded quartic roots."""
+    exact 1D minimax optima (certified in rational arithmetic; the exact 1D optimizers reproduce
+    them), and clustering is optimize.CLUSTERING, the correctly rounded quartic roots."""
     if name in ("classical", "classical-1d"):
         return MethodParams(8.0 / 9.0, 2.0, 0.5)
     if name in ("alpha-delta", "alpha-delta-1d"):

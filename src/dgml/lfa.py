@@ -25,7 +25,8 @@ holds to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
 have the closed form lambda = center +/- sqrt(num/den) with polynomial
 center/num/den in (alpha, delta0, c) and cos(theta);
 eigenvalues_closed_form_at evaluates it on an array of cosines, and
-symbol_radius takes the pairs' moduli in real arithmetic on a fixed grid.
+symbol_radius takes the pairs' largest modulus at cos(theta) = +/-1, where
+its docstring proves the supremum over all frequencies sits.
 """
 
 from __future__ import annotations
@@ -146,18 +147,20 @@ def _coefficients(alpha: float, d0: float, c: float):
     return (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2)
 
 
-def _closed_form_parts(x, params: MethodParams):
-    """(center, q) of lambda = center +/- sqrt(q) at cosines x, in float arithmetic."""
+def _closed_form_parts(x, alpha, d0, c):
+    """(center, q) of lambda = center +/- sqrt(q) at cosines x, in the
+    arithmetic of the components: x a float or a float array, d0 a float
+    or, for a complex-step derivative in delta0, a complex."""
     try:
-        (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(*map(float, params.as_tuple()))
+        (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(alpha, d0, c)
     except OverflowError as exc:
-        raise DegenerateParameterError(f"closed-form coefficients overflow at {params.as_tuple()}") from exc
+        raise DegenerateParameterError(f"closed-form coefficients overflow at {(alpha, d0, c)}") from exc
     den = den0 + den1 * x
     radicand_den = s0 + s1 * x + s2 * x * x
-    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
-    if bad.any():
+    bad = (abs(den) < 1e-14) | (abs(radicand_den) < 1e-300)  # a bool at a scalar x
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise DegenerateParameterError(
-            f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator"
+            f"degenerate eigenvalue expression at cos={np.asarray(x)[bad]}: zero denominator"
         )
     return (num0 + num1 * x) / den, (r0 + r1 * x + r2 * x * x) / radicand_den
 
@@ -165,7 +168,7 @@ def _closed_form_parts(x, params: MethodParams):
 def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
     """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
     cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
-    center, q = _closed_form_parts(np.asarray(cosine, dtype=float), params)
+    center, q = _closed_form_parts(np.asarray(cosine, dtype=float), *map(float, params.as_tuple()))
     root = np.sqrt(q.astype(complex))
     return np.stack([center + root, center - root], axis=-1)
 
@@ -176,20 +179,34 @@ def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
     return eigenvalues_closed_form_at(np.cos(_theta(k, J)), params)
 
 
-_RADIUS_COSINES = np.cos(np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
-
-
 def symbol_radius(params: MethodParams) -> float:
-    """max |lambda| over a 256-point theta grid: the two-level convergence
-    factor.  The even count keeps both phase extremes cos = +/-1 on the
-    grid, bit for bit, so this radius is never below the radius there.  No
-    proof says the maximum sits at the extremes; the exact 1D optimizers
-    minimize the radius at the two extremes and check at each result that
-    this grid radius equals it up to rounding (``optimize._certified``).
-    In real arithmetic, |center| + sqrt(q) where q >= 0 and
-    hypot(center, sqrt(-q)) where q < 0."""
-    center, q = _closed_form_parts(_RADIUS_COSINES, params)
-    if q.min() >= 0:  # all pairs real, as at the 1D optimizers' results: no hypot, no select
+    """The two-level convergence factor: the largest modulus of the
+    closed-form pairs over all phases, which cos(theta) = +/-1 attain.  In
+    real arithmetic, |center| + sqrt(q), or hypot(center, sqrt(-q)) where
+    rounding makes q < 0.
+
+    Proof, with x = cos(theta) and the pair (N +/- sqrt(R))/E for N = num0 +
+    num1*x, E = den0 + den1*x and R = r0 + r1*x + r2*x^2: the radicand's
+    denominator is exactly E^2, and E = -delta0*L with L = (1-c)^2 (1+x) -
+    4c(1-c) delta0 - 2 delta0^2 (1-2c)^2 < 0 on [-1, 1] (L(-1) sums negative
+    terms; L(1) is -2c^2 at delta0 = 1 and falls in delta0), so E's zero
+    x* = -den0/den1 lies outside [-1, 1].  R >= 0 there: the nonzero
+    eigenvalues are the smoother's on the A-orthogonal complement of the
+    coarse space, a Hermitian problem.  A branch turns only at a double root
+    in x of G = (E*lambda - N)^2 - R.  G's discriminant in x, a quadratic
+    A2*lambda^2 + A1*lambda + A0, has A1^2 = 4*A2*A0, and its one root
+    -A1/(2*A2) puts the double root at x*.  Indeed G(x*) = N(x*)^2 - R(x*)
+    vanishes for every lambda, so G = (x - x*) l(x) with l linear in x, which
+    also covers A2 = 0 (forcing A1 = 0) and a vanishing x^2 coefficient
+    (den1*lambda - num1)^2 - r2.  Let the largest modulus over [-1, 1] be
+    |mu| for an eigenvalue mu at x1.  Then G = E^2 (mu - lambda_+)(mu -
+    lambda_-) >= 0 on [-1, 1] and G(x1) = 0, so l keeps one sign there; an
+    interior x1 makes l and G vanish identically, and mu is an eigenvalue at
+    x = +/-1 too.  (sympy derives these identities; the tests check them in
+    rational arithmetic.)
+    """
+    center, q = _closed_form_parts(np.array([1.0, -1.0]), *map(float, params.as_tuple()))
+    if q.min() >= 0:  # both pairs real, as at the 1D optimizers' results: no hypot, no select
         return float((np.abs(center) + np.sqrt(q)).max())
     root = np.sqrt(np.abs(q))
     return float(np.where(q >= 0, np.abs(center) + root, np.hypot(center, root)).max())

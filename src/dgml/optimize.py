@@ -11,10 +11,10 @@ lfa's closed form is 1 + mu*alpha, so the radius is the larger of two lines
 in alpha (and of a convex hypot piece where rounding makes a pair complex),
 minimized at their crossing or a bracket end; delta0 is where the
 derivative of that minimum in delta0 (a complex step through
-``lfa._coefficients``) changes sign.  One ``lfa.symbol_radius`` call
-certifies each result on the 256-point grid.  The 2D optimum is found by
-Nelder-Mead on the spectral radius of the 2D error operator
-(``spectrum.two_level_error_eigenvalues``).
+``lfa._closed_form_parts``) changes sign.  ``lfa.symbol_radius`` proves the
+radius there the supremum over all frequencies, and is each result's rho.
+The 2D optimum is found by Nelder-Mead on the spectral radius of the 2D
+error operator (``spectrum.two_level_error_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lfa, spectrum
-from .discretization import ConfigError, DiscretizationConfig
+from .discretization import DiscretizationConfig
 from .twolevel import MethodParams
 
 # quartics whose one real root on each bracket is a clustering parameter,
@@ -52,30 +51,14 @@ _COMPLEX_STEP = 1e-150
 _real = operator.attrgetter("real")
 
 
-class NewtonDivergenceError(RuntimeError):
-    """Newton iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate):
-        super().__init__(message)
-        self.last_iterate = tuple(last_iterate)
-
-
-class UncertifiedOptimumError(ArithmeticError):
-    """The 256-point LFA radius at a 1D optimizer's result exceeds its radius
-    at cos(theta) = +/-1 by more than rounding: a frequency inside the range
-    is active there, so the exact endpoint minimum is not the grid minimum."""
-
-
 @dataclass(frozen=True)
 class ClusteringSolution:
-    """A parameter triple, its system residuals and its LFA radius (symbol_radius).
-
-    failed_evals counts objective evaluations whose eigensolve raised
-    (scored as +inf for the search).
-    """
+    """The clustering triple with its system residuals and LFA radius, or a
+    2D optimum (residuals None) with its error-operator radius, objective
+    evaluations and failed ones (eigensolve raised, scored +inf)."""
 
     params: MethodParams
-    residuals: tuple[float, float, float]
+    residuals: tuple[float, float, float] | None
     rho: float
     iterations: int = 0
     failed_evals: int = 0
@@ -110,56 +93,6 @@ def clustering_parameters() -> ClusteringSolution:
     """CLUSTERING with its system residuals and its LFA radius."""
     return ClusteringSolution(
         CLUSTERING, clustering_system_residuals(CLUSTERING), lfa.symbol_radius(CLUSTERING)
-    )
-
-
-def solve_clustering_system(
-    initial: MethodParams, tol: float = 1e-10, max_iter: int = 100
-) -> ClusteringSolution:
-    """Damped Newton on the clustering system with finite-difference
-    Jacobian; raises NewtonDivergenceError with the last iterate if the
-    residual cannot be driven below tol."""
-    x = np.array(initial.as_tuple(), dtype=float)
-    fx = clustering_residuals(*x)
-    for it in range(max_iter):
-        norm = np.max(np.abs(fx))
-        if norm < tol:
-            try:
-                params = MethodParams(*x)
-            except ConfigError as exc:  # never return a triple outside the box
-                raise NewtonDivergenceError(
-                    f"converged outside the valid box: {exc}", x
-                ) from exc
-            return ClusteringSolution(
-                params, clustering_system_residuals(params), lfa.symbol_radius(params), it
-            )
-        Jac = np.empty((3, 3))
-        try:
-            for j in range(3):
-                step = 1e-7 * max(abs(x[j]), 1.0)
-                xp = x.copy()
-                xp[j] += step
-                Jac[:, j] = (clustering_residuals(*xp) - fx) / step
-            delta = np.linalg.solve(Jac, -fx)
-        except (lfa.DegenerateParameterError, np.linalg.LinAlgError) as exc:
-            raise NewtonDivergenceError(f"no Newton step: {exc}", x) from exc
-        lam = 1.0
-        for _ in range(40):
-            x_new = x + lam * delta
-            try:
-                f_new = clustering_residuals(*x_new)
-            except (lfa.DegenerateParameterError, FloatingPointError):
-                f_new = np.array([np.inf] * 3)
-            if np.all(np.isfinite(f_new)) and np.max(np.abs(f_new)) < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDivergenceError(
-                f"no descent after damping, residual {norm:.3e}", x
-            )
-        x, fx = x_new, f_new
-    raise NewtonDivergenceError(
-        f"no convergence in {max_iter} iterations, residual {np.max(np.abs(fx)):.3e}", x
     )
 
 
@@ -240,26 +173,6 @@ def _sqrt(z):
     return cmath.sqrt(z) if isinstance(z, complex) else math.sqrt(z)
 
 
-def _extremes(alpha, d0, c) -> list[tuple]:
-    """(centre, q, q's rounding) of the closed-form pair centre +/- sqrt(q)
-    at cos(theta) = 1 and -1, in scalar float or complex arithmetic and in
-    the operation order of ``lfa._closed_form_parts``.  The rounding bound
-    is a few units of eps on the radicand numerator's terms, which cancel
-    where the pair is nearly double."""
-    try:
-        (n0, n1), (e0, e1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(alpha, d0, c)
-        out = []
-        for x in (1.0, -1.0):
-            s = s0 + s1 * x + s2 * x * x
-            rounding = 4 * sys.float_info.epsilon * (abs(r0) + abs(r1) + abs(r2)) / abs(s)
-            out.append(((n0 + n1 * x) / (e0 + e1 * x), (r0 + r1 * x + r2 * x * x) / s, rounding))
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise lfa.DegenerateParameterError(
-            f"closed form undefined at cos = +/-1 for (alpha, delta0, c) = {(alpha, d0, c)}"
-        ) from exc
-    return out
-
-
 def _minimize_alpha(d0, c) -> tuple:
     """(alpha, radius) minimizing over ALPHA_RANGE the largest eigenvalue
     modulus at cos(theta) = +/-1; d0 may carry a complex step.
@@ -275,7 +188,8 @@ def _minimize_alpha(d0, c) -> tuple:
     lies at a bracket end, a crossing or a hypot piece's vertex.
     """
     lines, hypots = [], []
-    for centre, q, _ in _extremes(1.0, d0, c):
+    for x in (1.0, -1.0):
+        centre, q = lfa._closed_form_parts(x, 1.0, d0, c)
         a = centre - 1.0
         if q.real >= 0:
             root = _sqrt(q)
@@ -304,37 +218,13 @@ def _minimize_alpha(d0, c) -> tuple:
                key=lambda pair: pair[1].real)
 
 
-def _certified(alpha: float, d0: float, c: float) -> float:
-    """symbol_radius at (alpha, d0, c) once it agrees with the closed form at
-    cos(theta) = +/-1, which the 256-point grid holds exactly.
-
-    The grid radius is at least the endpoint radius at every alpha, so where
-    the two agree at the endpoint minimum, that point also minimizes the grid
-    radius.  Agreement allows 8 ulp plus sqrt's share of the radicand's
-    rounding, which moves grid points next to a nearly double pair; beyond
-    that raises UncertifiedOptimumError.
-    """
-    grid = lfa.symbol_radius(MethodParams(alpha, d0, c))
-    ends = slack = 0.0
-    for centre, q, rounding in _extremes(alpha, d0, c):
-        root = math.sqrt(abs(q))
-        ends = max(ends, abs(centre) + root if q >= 0 else math.hypot(centre, root))
-        slack = max(slack, rounding / (2 * root) if q > rounding else math.sqrt(rounding))
-    if not abs(grid - ends) <= 8 * math.ulp(ends) + slack:
-        raise UncertifiedOptimumError(
-            f"grid radius {grid!r} is not the radius {ends!r} at cos = +/-1 "
-            f"(tolerance {8 * math.ulp(ends) + slack:.1e}) at (alpha, delta0, c) = {(alpha, d0, c)}"
-        )
-    return grid
-
-
 def optimize_1d_alpha(penalty: float, c: float) -> tuple[float, float]:
     """Best relaxation in ALPHA_RANGE for fixed (penalty, c), as (alpha, rho):
     alpha minimizes the radius at cos(theta) = +/-1 exactly (to rounding),
-    and rho is its certified 256-point radius."""
+    and rho is its symbol_radius."""
     MethodParams(ALPHA_RANGE[1], penalty, c)  # raises ConfigError on a bad (penalty, c)
     alpha, _ = _minimize_alpha(penalty, c)
-    return alpha, _certified(alpha, penalty, c)
+    return alpha, lfa.symbol_radius(MethodParams(alpha, penalty, c))
 
 
 def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
@@ -349,8 +239,8 @@ def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
     rounding by a complex step (Squire & Trapp, SIAM Rev. 40, 1998).  The
     sign changes where the active branches switch and equioscillate (at
     c = 1/2, three of them at 1/5 at (0.9, 1.5)), or at a stationary point
-    of one branch (alpha = 1, c above about 0.8).  rho is the certified
-    256-point radius.
+    of one branch (alpha = 1, c above about 0.8).  rho is the result's
+    symbol_radius.
     """
     MethodParams(ALPHA_RANGE[1], PENALTY_RANGE[1], c)  # raises ConfigError on a bad c
     lo, hi = PENALTY_RANGE
@@ -360,7 +250,7 @@ def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
         else:
             hi = mid
     alpha, _ = _minimize_alpha(hi, c)
-    return alpha, hi, _certified(alpha, hi, c)
+    return alpha, hi, lfa.symbol_radius(MethodParams(alpha, hi, c))
 
 
 def optimize_2d(
@@ -398,7 +288,4 @@ def optimize_2d(
         steps=(0.02, 0.05, 0.02),
         max_evals=max_evals,
     )
-    params = MethodParams(*result.x)
-    return ClusteringSolution(
-        params, clustering_system_residuals(params), result.fval, result.nfev, failed
-    )
+    return ClusteringSolution(MethodParams(*result.x), None, result.fval, result.nfev, failed)

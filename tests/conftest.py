@@ -1,20 +1,44 @@
 """Shared fixtures: reference parameter triples resolved once per session."""
 
-import numpy as np
+from fractions import Fraction
+
 import pytest
 
 from dgml.twolevel import MethodParams
 
 
+def nearest_root(coeffs, lo, hi):
+    """The float nearest the one root of a polynomial with a sign change on
+    [lo, hi]: bisection in exact rational arithmetic until every point of
+    the bracket rounds to the same float."""
+    def p(v):
+        y = Fraction(0)
+        for a in coeffs:
+            y = y * v + a
+        return y
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    below = p(lo) < 0
+    assert below != (p(hi) < 0)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if (p(mid) < 0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
 @pytest.fixture(scope="session")
 def clustering_triple():
-    """Independent reference for the clustering parameters: quartic roots
-    via the numpy companion-matrix solver, selected by bracket."""
-    c = [r.real for r in np.roots([4, -8, 8, -8, 3]) if abs(r.imag) < 1e-10 and 0 < r.real < 1]
-    d = [r.real for r in np.roots([12, -32, 24, -4, -1]) if abs(r.imag) < 1e-10 and r.real > 1]
-    a = [r.real for r in np.roots([183, -352, 214, -40, -1]) if abs(r.imag) < 1e-10 and 0 < r.real < 1]
-    assert len(c) == len(d) == len(a) == 1
-    return MethodParams(a[0], d[0], c[0])
+    """Independent reference for the clustering parameters: each quartic's
+    root on its bracket, bisected in rational arithmetic and rounded to the
+    nearer float."""
+    return MethodParams(
+        nearest_root((183, -352, 214, -40, -1), 0, 1),
+        nearest_root((12, -32, 24, -4, -1), 1, 10),
+        nearest_root((4, -8, 8, -8, 3), 0, 1),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,18 @@ prolongation_loop and dense_two_level build the two-level set-up entry by
 entry and product by product, the oracle of the structured build_two_level
 (its A @ X and P @ Y too), preconditioner_matrix and error_matrix.  coarse_operator builds the
 Galerkin coarse operator R A P, which build_two_level does not store, from
-the same loops at every size the set-up accepts.  closed_form_pairs,
-reference_symbol_radius and polyval_bracketed_root are the complex-path
-closed form, the radius taken from it and the np.polyval bisection: the
-references that lfa's real-arithmetic radius and optimize's Horner
-bisection must reproduce bit for bit.  loop_nelder_mead builds and shrinks
-the simplex vertex by vertex and takes the centroid by mean, the reference
-of optimize.nelder_mead's iterates.  search_1d_alpha and
+the same loops at every size the set-up accepts.  closed_form_pairs is the
+complex-path closed form, and endpoint_radius its largest modulus at
+cos(theta) = +/-1: the value that lfa's real-arithmetic symbol_radius must
+return bit for bit.  reference_symbol_radius takes that modulus on a
+256-point theta grid instead, the objective of the searches below and the
+grid whose excess over the endpoints radicand_slack and exact_modulus
+account for.  polyval_bracketed_root is the np.polyval bisection the
+clustering constant is checked against.  solve_clustering_system is damped
+Newton on optimize.clustering_residuals, the independent solve that
+optimize.CLUSTERING must agree with.  loop_nelder_mead builds
+and shrinks the simplex vertex by vertex and takes the centroid by mean,
+the reference of optimize.nelder_mead's iterates.  search_1d_alpha and
 search_1d_alpha_delta are the golden-section and Nelder-Mead searches the
 1D optimizers ran before their exact solve, with the same brackets, start
 and steps, on reference_symbol_radius: the radii that the exact optimizers
@@ -25,12 +30,14 @@ np.linalg.norm, the reference that solver.gmres must reproduce bit for bit.
 """
 
 import math
+import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from dgml import lfa, optimize
-from dgml.discretization import BoundaryCondition
+from dgml.discretization import BoundaryCondition, ConfigError
 from dgml.twolevel import MethodParams, smoother_scale
 
 
@@ -164,6 +171,40 @@ def reference_symbol_radius(params):
     return float(np.abs(closed_form_pairs(np.cos(thetas), params)).max())
 
 
+def endpoint_radius(params):
+    """max |lambda| of closed_form_pairs at cos(theta) = +/-1: the value
+    symbol_radius must return."""
+    return float(np.abs(closed_form_pairs(np.array([1.0, -1.0]), params)).max())
+
+
+def radicand_slack(params):
+    """How far rounding may lift a float closed-form modulus above
+    endpoint_radius where the pair is nearly double: 8 ulp plus sqrt's share
+    of the radicand's rounding, a few units of eps on the terms of its
+    numerator, which cancel there (err/(2 sqrt(q)), or sqrt(err) where q is
+    within err of zero)."""
+    _, _, r, s = lfa._coefficients(*params.as_tuple())
+    slack = 0.0
+    for x in (1.0, -1.0):
+        den = s[0] + s[1] * x + s[2] * x * x
+        q = (r[0] + r[1] * x + r[2] * x * x) / den
+        err = 4 * sys.float_info.epsilon * sum(map(abs, r)) / abs(den)
+        slack = max(slack, err / (2 * math.sqrt(q)) if q > err else math.sqrt(err))
+    return 8 * math.ulp(endpoint_radius(params)) + slack
+
+
+def exact_modulus(params, x, bits=300):
+    """max |lambda| of the closed-form pair at a float cosine x in rational
+    arithmetic, its square root truncated to `bits` bits; the pair is real on
+    [-1, 1]."""
+    (n0, n1), (e0, e1), r, s = lfa._coefficients(*map(Fraction, params.as_tuple()))
+    x = Fraction(x)
+    centre = (n0 + n1 * x) / (e0 + e1 * x)
+    q = (r[0] + r[1] * x + r[2] * x * x) / (s[0] + s[1] * x + s[2] * x * x)
+    assert q >= 0
+    return abs(centre) + Fraction(math.isqrt(q.numerator * 4**bits // q.denominator), 2**bits)
+
+
 def polyval_bracketed_root(coeffs, lo, hi):
     """Bisection of a strict sign change on [lo, hi] with np.polyval, down
     to adjacent floats; the endpoint with the smaller |p| is the root."""
@@ -177,6 +218,59 @@ def polyval_bracketed_root(coeffs, lo, hi):
         else:
             hi, fhi = mid, fmid
     return lo if abs(flo) <= abs(fhi) else hi
+
+
+class NewtonDivergenceError(RuntimeError):
+    """Newton iteration failed to converge; carries the last iterate."""
+
+    def __init__(self, message, last_iterate):
+        super().__init__(message)
+        self.last_iterate = tuple(last_iterate)
+
+
+def solve_clustering_system(initial, tol=1e-10, max_iter=100):
+    """Damped Newton on the clustering system with finite-difference
+    Jacobian, as an optimize.ClusteringSolution carrying its iteration
+    count; raises NewtonDivergenceError with the last iterate if the
+    residual cannot be driven below tol."""
+    x = np.array(initial.as_tuple(), dtype=float)
+    fx = optimize.clustering_residuals(*x)
+    for it in range(max_iter):
+        norm = np.max(np.abs(fx))
+        if norm < tol:
+            try:
+                params = MethodParams(*x)
+            except ConfigError as exc:  # never return a triple outside the box
+                raise NewtonDivergenceError(f"converged outside the valid box: {exc}", x) from exc
+            return optimize.ClusteringSolution(
+                params, optimize.clustering_system_residuals(params), lfa.symbol_radius(params), it
+            )
+        Jac = np.empty((3, 3))
+        try:
+            for j in range(3):
+                step = 1e-7 * max(abs(x[j]), 1.0)
+                xp = x.copy()
+                xp[j] += step
+                Jac[:, j] = (optimize.clustering_residuals(*xp) - fx) / step
+            delta = np.linalg.solve(Jac, -fx)
+        except (lfa.DegenerateParameterError, np.linalg.LinAlgError) as exc:
+            raise NewtonDivergenceError(f"no Newton step: {exc}", x) from exc
+        lam = 1.0
+        for _ in range(40):
+            x_new = x + lam * delta
+            try:
+                f_new = optimize.clustering_residuals(*x_new)
+            except (lfa.DegenerateParameterError, FloatingPointError):
+                f_new = np.array([np.inf] * 3)
+            if np.all(np.isfinite(f_new)) and np.max(np.abs(f_new)) < norm:
+                break
+            lam *= 0.5
+        else:
+            raise NewtonDivergenceError(f"no descent after damping, residual {norm:.3e}", x)
+        x, fx = x_new, f_new
+    raise NewtonDivergenceError(
+        f"no convergence in {max_iter} iterations, residual {np.max(np.abs(fx)):.3e}", x
+    )
 
 
 def search_1d_alpha(penalty, c):

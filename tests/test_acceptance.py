@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from helpers import solve_clustering_system
+
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
     MethodParams,
@@ -88,7 +90,7 @@ def test_criterion_01_optimal_parameters(clustering_solution, clustering_triple)
 
 def test_criterion_02_nonlinear_system_consistency(clustering_solution):
     res = np.abs(clustering_solution.residuals)
-    newton = optimize.solve_clustering_system(MethodParams(0.9, 1.5, 0.55))
+    newton = solve_clustering_system(MethodParams(0.9, 1.5, 0.55))
     gap = np.max(
         np.abs(
             np.array(newton.params.as_tuple())

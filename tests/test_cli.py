@@ -347,7 +347,7 @@ def test_preset_resolution(clustering_triple):
         assert cli.preset_params(name) == MethodParams(0.9, 1.5, 0.5)
     for name in ("clustering", "clustering-1d"):
         assert cli.preset_params(name) == optimize.CLUSTERING
-    np.testing.assert_allclose(optimize.CLUSTERING.as_tuple(), clustering_triple.as_tuple(), atol=1e-8)
+    assert optimize.CLUSTERING == clustering_triple
     with pytest.raises(KeyError):
         cli.preset_params("nope")
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from helpers import (
     closed_form_pairs,
     coarse_operator,
     deflate_constant,
+    endpoint_radius,
+    exact_modulus,
     invariance_defect,
     projected_block,
-    reference_symbol_radius,
+    radicand_slack,
 )
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
@@ -257,6 +261,53 @@ def test_symbol_radius_matches_dense_radius(classical_params):
     assert abs(lfa.symbol_radius(classical_params) - dense) < 1e-6
 
 
+def test_the_radius_sits_at_the_phase_extremes_in_rational_arithmetic():
+    # the steps of symbol_radius's argument, exactly, on seeded rational
+    # triples: the box's interior, its edges c -> 0, c -> 1 and delta0 -> 1+,
+    # and alpha = 0, where the radicand vanishes
+    rng = np.random.default_rng(3102)
+    triples = [
+        (Fraction(int(a), 1000), 1 + Fraction(int(d), 1000), Fraction(int(c), 1000))
+        for a, d, c in rng.integers((1, 1, 1), (1001, 9001, 1000), (40, 3))
+    ]
+    tiny = Fraction(1, 10**9)
+    for alpha, d0, c in triples[:10]:
+        triples += [(alpha, d0, tiny), (alpha, d0, 1 - tiny), (alpha, 1 + tiny, c), (Fraction(0), d0, c)]
+    for alpha, d0, c in triples:
+        (n0, n1), (e0, e1), (r0, r1, r2), s = lfa._coefficients(alpha, d0, c)
+        # the radicand's denominator is E^2, and E = -delta0*L > 0 at +/-1
+        assert s == (e0 * e0, 2 * e0 * e1, e1 * e1)
+        for x in (1, -1):
+            L = (1 - c) ** 2 * (1 + x) - 4 * c * (1 - c) * d0 - 2 * d0**2 * (1 - 2 * c) ** 2
+            assert e0 + e1 * x == -d0 * L > 0
+
+        def R(x):
+            return r0 + r1 * x + r2 * x * x
+
+        # R >= 0 on [-1, 1]: at both ends, and at its vertex if that is an
+        # interior minimum
+        assert R(1) >= 0 and R(-1) >= 0
+        if r2 > 0 and abs(r1) < 2 * r2:
+            assert R(-r1 / (2 * r2)) >= 0
+
+        def D(lam):  # the discriminant in x of G = (E*lam - N)^2 - R
+            u0, u1 = e0 * lam - n0, e1 * lam - n1
+            return (2 * u0 * u1 - r1) ** 2 - 4 * (u1 * u1 - r2) * (u0 * u0 - r0)
+
+        A0, A1, A2 = D(0), (D(1) - D(-1)) / 2, (D(1) + D(-1)) / 2 - D(0)
+        assert A1 * A1 == 4 * A2 * A0
+        # the tangency sits at E's zero, where G vanishes for every lambda
+        x_star = -e0 / e1
+        assert e1 * e1 * R(x_star) == (n0 * e1 - n1 * e0) ** 2
+        if A2 != 0:
+            lam = -A1 / (2 * A2)
+            u0, u1 = e0 * lam - n0, e1 * lam - n1
+            if u1 * u1 != r2:
+                assert -(2 * u0 * u1 - r1) / (2 * (u1 * u1 - r2)) == x_star
+        else:
+            assert A1 == 0
+
+
 # ---------------------------------------------------------------------------
 # dense equivalence (the master oracle)
 
@@ -396,7 +447,42 @@ def test_symbol_radius_is_the_complex_path_radius_on_seeded_draws(cast):
     for _ in range(1500):
         gap = 10.0 ** rng.uniform(-9.0, 1.0)
         p = MethodParams(cast(rng.uniform(0.0, 1.0)), cast(1.0 + gap), cast(rng.uniform(1e-6, 1.0 - 1e-6)))
-        assert same_outcome(lfa.symbol_radius, reference_symbol_radius, p)
+        assert same_outcome(lfa.symbol_radius, endpoint_radius, p)
+
+
+# three triples at the edges c -> 0, delta0 -> 1+ where the float closed form
+# loses digits, found on seeded draws: there the grid below reads beyond the
+# radicand's slack
+EDGE_TRIPLES = [
+    MethodParams(0.2616946668251926, 1.0035194886344132, 0.002949029112201993),
+    MethodParams(0.5259674037264871, 1.0000106710013263, 5.817275949768859e-05),
+    MethodParams(0.03667177882566308, 1.0000080173698582, 3.895494856851529e-05),
+]
+
+
+def test_symbol_radius_is_the_supremum_on_a_fine_grid():
+    # a 4,097-point theta grid holds cos = +/-1 bit for bit, so it never reads
+    # below the two-point radius, and above it only by rounding: within the
+    # slack of the radicand's cancellation where a pair is nearly double, and
+    # beyond it only at the edges, where in exact arithmetic the grid's
+    # maximum is still below the extremes'
+    grid = np.cos(np.linspace(0.0, 2.0 * np.pi, 4097))
+    rng = np.random.default_rng(2209)
+    draws = [
+        MethodParams(rng.uniform(0.0, 1.0), 1.0 + 10.0 ** rng.uniform(-9.0, 1.0), rng.uniform(1e-6, 1.0 - 1e-6))
+        for _ in range(1500)
+    ]
+    beyond = []
+    for p in draws + EDGE_TRIPLES:
+        radius = lfa.symbol_radius(p)
+        moduli = np.abs(closed_form_pairs(grid, p)).max(axis=-1)
+        assert moduli.max() >= radius
+        if moduli.max() - radius > radicand_slack(p):
+            x = grid[moduli.argmax()]
+            assert exact_modulus(p, x) <= max(exact_modulus(p, 1.0), exact_modulus(p, -1.0))
+            beyond.append(p)
+    assert beyond[-3:] == EDGE_TRIPLES
+    assert all(p.discontinuity < 1e-2 and p.penalty < 1.01 for p in beyond), beyond
 
 
 @pytest.mark.parametrize("edge", ["c->0", "c->1", "delta0->1+", "alpha=0"])
@@ -417,12 +503,12 @@ def test_symbol_radius_is_the_complex_path_radius_at_the_edges(edge, cast):
         else:
             alpha = 0.0
         p = MethodParams(cast(alpha), cast(d0), cast(c))
-        same_outcome(lfa.symbol_radius, reference_symbol_radius, p)
+        same_outcome(lfa.symbol_radius, endpoint_radius, p)
 
 
 @pytest.mark.parametrize("name", cli.PRESETS_1D)
 def test_symbol_radius_is_the_complex_path_radius_at_the_presets(name):
-    assert same_outcome(lfa.symbol_radius, reference_symbol_radius, cli.preset_params(name))
+    assert same_outcome(lfa.symbol_radius, endpoint_radius, cli.preset_params(name))
 
 
 def test_closed_form_pairs_are_the_complex_path_pairs():
