@@ -24,12 +24,16 @@ orthonormal basis (tests verify this entrywise), so
 holds to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
 have the closed form lambda = center +/- sqrt(num/den) with polynomial
 center/num/den in (alpha, delta0, c) and cos(theta);
-eigenvalues_closed_form_at evaluates it on an array of cosines, and
-symbol_radius takes the pairs' largest modulus at cos(theta) = +/-1, where
-its docstring proves the supremum over all frequencies sits.
+eigenvalues_closed_form_at evaluates it on an array of cosines.  At
+cos(theta) = +/-1, where symbol_radius's docstring proves the supremum over
+all frequencies sits, the radicand is a square and each eigenvalue is
+1 + mu*alpha with mu rational in (delta0, c) (_extreme_slopes), so
+symbol_radius takes their largest modulus with no square root.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -147,29 +151,22 @@ def _coefficients(alpha: float, d0: float, c: float):
     return (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2)
 
 
-def _closed_form_parts(x, alpha, d0, c):
-    """(center, q) of lambda = center +/- sqrt(q) at cosines x, in the
-    arithmetic of the components: x a float or a float array, d0 a float
-    or, for a complex-step derivative in delta0, a complex."""
+def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
+    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
+    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
+    x = np.asarray(cosine, dtype=float)
+    alpha, d0, c = map(float, params.as_tuple())
     try:
         (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(alpha, d0, c)
     except OverflowError as exc:
         raise DegenerateParameterError(f"closed-form coefficients overflow at {(alpha, d0, c)}") from exc
     den = den0 + den1 * x
     radicand_den = s0 + s1 * x + s2 * x * x
-    bad = (abs(den) < 1e-14) | (abs(radicand_den) < 1e-300)  # a bool at a scalar x
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
-        raise DegenerateParameterError(
-            f"degenerate eigenvalue expression at cos={np.asarray(x)[bad]}: zero denominator"
-        )
-    return (num0 + num1 * x) / den, (r0 + r1 * x + r2 * x * x) / radicand_den
-
-
-def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
-    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
-    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
-    center, q = _closed_form_parts(np.asarray(cosine, dtype=float), *map(float, params.as_tuple()))
-    root = np.sqrt(q.astype(complex))
+    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
+    if np.any(bad):
+        raise DegenerateParameterError(f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator")
+    center = (num0 + num1 * x) / den
+    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
     return np.stack([center + root, center - root], axis=-1)
 
 
@@ -179,11 +176,27 @@ def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
     return eigenvalues_closed_form_at(np.cos(_theta(k, J)), params)
 
 
+def _extreme_slopes(d0, c):
+    """The slopes mu of the four closed-form eigenvalues 1 + mu*alpha at
+    cos(theta) = 1 (the first two) and -1, as quotients of sums whose terms
+    have one sign (symbol_radius derives them).  Integer literals keep
+    Fraction components exact; d0 may carry a complex step."""
+    u, w, t = d0 - 1, c * (1 - c), (1 - 2 * c) ** 2
+    v = 1 - 2 * w  # c^2 + (1-c)^2
+    return (
+        -2 / d0,
+        -2 * u * v / (c * c + u * (t * (d0 + 1) + 2 * w)),
+        -(2 * d0 - 1) / d0 / d0,
+        -(2 * d0 - 1) * v / (d0 * (t * d0 + 2 * w)),
+    )
+
+
 def symbol_radius(params: MethodParams) -> float:
     """The two-level convergence factor: the largest modulus of the
-    closed-form pairs over all phases, which cos(theta) = +/-1 attain.  In
-    real arithmetic, |center| + sqrt(q), or hypot(center, sqrt(-q)) where
-    rounding makes q < 0.
+    closed-form pairs over all phases, which cos(theta) = +/-1 attain.
+    There every eigenvalue is 1 + mu*alpha with mu rational in (delta0, c),
+    so the radius is max |1 + alpha*mu| over the four slopes of
+    _extreme_slopes, with no square root.
 
     Proof, with x = cos(theta) and the pair (N +/- sqrt(R))/E for N = num0 +
     num1*x, E = den0 + den1*x and R = r0 + r1*x + r2*x^2: the radicand's
@@ -202,14 +215,28 @@ def symbol_radius(params: MethodParams) -> float:
     |mu| for an eigenvalue mu at x1.  Then G = E^2 (mu - lambda_+)(mu -
     lambda_-) >= 0 on [-1, 1] and G(x1) = 0, so l keeps one sign there; an
     interior x1 makes l and G vanish identically, and mu is an eigenvalue at
-    x = +/-1 too.  (sympy derives these identities; the tests check them in
-    rational arithmetic.)
+    x = +/-1 too.
+
+    At x = +/-1 the radicand is a square, R(+/-1) = (2*alpha*F+/-)^2 with
+    F+ = 2c^2 delta0^2 - c^2 - 2c delta0^2 + 2c + delta0 - 1 and
+    F- = c(c-1)(delta0-1)(2 delta0-1), and N = E - 2*alpha*n, so the slopes
+    are (-n +/- F)/e with e = E/2.  In u = delta0 - 1, w = c(1-c) and
+    t = (1-2c)^2 every term of e and n has one sign:
+    e+ = c^2 + u(2 - 6w + c^2) + u^2(3 - 10w) + u^3 t,
+    n+ = c^2 + u(3 - 8w) + u^2(2 - 6w), e- = 1 - 2w + u(3 - 8w) +
+    u^2(3 - 10w) + u^3 t and n- = 1 - 2w + u(3 - 7w) + u^2(2 - 6w).  And
+    -n +/- F factors with e: the slopes are -2/delta0 and
+    -2u(1-2w)/(c^2 + u(t(delta0+1) + 2w)) at x = 1, -(2 delta0-1)/delta0^2
+    and -(2 delta0-1)(1-2w)/(delta0(t delta0 + 2w)) at x = -1, each with
+    at most 15 roundings, where a square root of the cancelling radicand
+    keeps half the digits.  (sympy derives these identities; the tests
+    check them in rational arithmetic.)
     """
-    center, q = _closed_form_parts(np.array([1.0, -1.0]), *map(float, params.as_tuple()))
-    if q.min() >= 0:  # both pairs real, as at the 1D optimizers' results: no hypot, no select
-        return float((np.abs(center) + np.sqrt(q)).max())
-    root = np.sqrt(np.abs(q))
-    return float(np.where(q >= 0, np.abs(center) + root, np.hypot(center, root)).max())
+    alpha, d0, c = map(float, params.as_tuple())
+    slopes = _extreme_slopes(d0, c)
+    if not all(map(math.isfinite, slopes)):
+        raise DegenerateParameterError(f"closed-form slopes overflow at {(alpha, d0, c)}")
+    return max(abs(1 + alpha * mu) for mu in slopes)
 
 
 def error_spectrum_symbols(J: int, params: MethodParams, dim: int = 1) -> np.ndarray:

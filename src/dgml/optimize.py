@@ -6,20 +6,19 @@ symbol's eigenvalues; its components are the real roots of three quartics
 on their brackets, stored correctly rounded as the constant CLUSTERING.
 Baseline choices (relaxation only, or relaxation plus penalty, at
 continuous interpolation c = 1/2) minimize the two-level convergence factor
-exactly at the phase extremes cos(theta) = +/-1: there each eigenvalue of
-lfa's closed form is 1 + mu*alpha, so the radius is the larger of two lines
-in alpha (and of a convex hypot piece where rounding makes a pair complex),
-minimized at their crossing or a bracket end; delta0 is where the
-derivative of that minimum in delta0 (a complex step through
-``lfa._closed_form_parts``) changes sign.  ``lfa.symbol_radius`` proves the
-radius there the supremum over all frequencies, and is each result's rho.
+exactly at the phase extremes cos(theta) = +/-1: there each eigenvalue is
+1 + mu*alpha over the four slopes of ``lfa._extreme_slopes``, so the radius
+is the larger of two lines in alpha, minimized at their crossing or a
+bracket end; delta0 is where the derivative of that minimum in delta0 (a
+complex step through the same slopes) changes sign.  ``lfa.symbol_radius``
+proves the radius there the supremum over all frequencies, and is each
+result's rho.
 The 2D optimum is found by Nelder-Mead on the spectral radius of the 2D
 error operator (``spectrum.two_level_error_eigenvalues``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -45,8 +44,9 @@ CLUSTERING = MethodParams(0.9081541344670157, 1.51697830014708, 0.56460427612264
 # optimize_1d_alpha_delta (which never evaluates delta0 = 1)
 ALPHA_RANGE = (1e-4, 1.0)
 PENALTY_RANGE = (1.0, 10.0)
-# imaginary step of the complex-step derivative in delta0: small enough that
-# no square root near a zero radicand feels it
+# imaginary step of the complex-step derivative in delta0; the slopes are
+# rational in delta0, so any step this far below delta0's ulp gives the
+# derivative to rounding
 _COMPLEX_STEP = 1e-150
 _real = operator.attrgetter("real")
 
@@ -169,53 +169,21 @@ def nelder_mead(f, x0, steps, max_evals=2000) -> NelderMeadResult:
     return NelderMeadResult(sim[order][0], float(fvals[order][0]), nfev, history)
 
 
-def _sqrt(z):
-    return cmath.sqrt(z) if isinstance(z, complex) else math.sqrt(z)
-
-
 def _minimize_alpha(d0, c) -> tuple:
     """(alpha, radius) minimizing over ALPHA_RANGE the largest eigenvalue
     modulus at cos(theta) = +/-1; d0 may carry a complex step.
 
-    At alpha = 0 the centre's numerator equals its denominator (no smoothing
-    leaves the coarse correction's eigenvalue 1) and every radicand
-    coefficient carries alpha^2, so from the terms at alpha = 1 the centre
-    is 1 + a*alpha and the radicand q*alpha^2.  A real pair gives the lines
-    1 + (a +/- sqrt(q))*alpha, whose largest modulus for alpha > 0 is the
-    larger of 1 + top*alpha and -1 - bottom*alpha over their slopes; a pair
-    that rounding makes complex (q < 0) gives the convex modulus
-    sqrt(1 + 2*a*alpha + (a^2 - q)*alpha^2).  The minimum of their maximum
-    lies at a bracket end, a crossing or a hypot piece's vertex.
+    There each eigenvalue is 1 + mu*alpha over lfa's four extreme slopes mu,
+    so for alpha > 0 the largest modulus is the larger of the lines
+    1 + top*alpha and -1 - bottom*alpha over the largest and smallest slope,
+    minimized at their crossing -2/(top + bottom) or a bracket end.
     """
-    lines, hypots = [], []
-    for x in (1.0, -1.0):
-        centre, q = lfa._closed_form_parts(x, 1.0, d0, c)
-        a = centre - 1.0
-        if q.real >= 0:
-            root = _sqrt(q)
-            lines += (a + root, a - root)
-        else:
-            hypots.append((a, q))
+    slopes = lfa._extreme_slopes(d0, c)
+    top, bottom = max(slopes, key=_real), min(slopes, key=_real)
     lo, hi = ALPHA_RANGE
-    candidates = [lo, hi]
-    # each piece as (b, g) with modulus^2 = 1 + 2*b*alpha + g*alpha^2
-    squares = [(a, a * a - q) for a, q in hypots]
-    if lines:
-        top, bottom = max(lines, key=_real), min(lines, key=_real)
-        if top + bottom != 0:
-            candidates.append(-2 / (top + bottom))
-        squares += [(top, top * top), (bottom, bottom * bottom)]
-    for i, (a, g) in enumerate(squares[:len(hypots)]):  # a hypot's vertex and later crossings
-        candidates.append(-a / g)
-        candidates += [2 * (b - a) / (g - h) for b, h in squares[i + 1:] if g != h]
-
-    def radius(alpha):
-        moduli = [1 + top * alpha, -1 - bottom * alpha] if lines else []
-        moduli += [_sqrt((1 + a * alpha) ** 2 - q * alpha * alpha) for a, q in hypots]
-        return max(moduli, key=_real)
-
-    return min(((alpha, radius(alpha)) for alpha in candidates if lo <= alpha.real <= hi),
-               key=lambda pair: pair[1].real)
+    candidates = [lo, hi] + ([-2 / (top + bottom)] if top + bottom != 0 else [])
+    return min(((alpha, max(1 + top * alpha, -1 - bottom * alpha, key=_real))
+                for alpha in candidates if lo <= alpha.real <= hi), key=lambda pair: pair[1].real)
 
 
 def optimize_1d_alpha(penalty: float, c: float) -> tuple[float, float]:
@@ -223,7 +191,7 @@ def optimize_1d_alpha(penalty: float, c: float) -> tuple[float, float]:
     alpha minimizes the radius at cos(theta) = +/-1 exactly (to rounding),
     and rho is its symbol_radius."""
     MethodParams(ALPHA_RANGE[1], penalty, c)  # raises ConfigError on a bad (penalty, c)
-    alpha, _ = _minimize_alpha(penalty, c)
+    alpha, _ = _minimize_alpha(float(penalty), float(c))
     return alpha, lfa.symbol_radius(MethodParams(alpha, penalty, c))
 
 
@@ -233,8 +201,8 @@ def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
 
     The endpoint minimum over alpha falls and then rises with delta0: its
     derivative changes sign once on (1, 10] at every c sampled in
-    [1e-3, 1 - 1e-3]; at c <= 1e-4 rounding also flips it within 1e-5 of
-    delta0 = 1, far from the minimum near 1.618.  delta0 is bisected, down
+    [1e-3, 1 - 1e-3] and at c = 1e-9 and 1 - 1e-9 (delta0 from 1 + 1e-12
+    up; no rounding flip near delta0 = 1).  delta0 is bisected, down
     to adjacent floats, on that sign, the derivative taken exactly to
     rounding by a complex step (Squire & Trapp, SIAM Rev. 40, 1998).  The
     sign changes where the active branches switch and equioscillate (at
@@ -243,6 +211,7 @@ def optimize_1d_alpha_delta(c: float) -> tuple[float, float, float]:
     symbol_radius.
     """
     MethodParams(ALPHA_RANGE[1], PENALTY_RANGE[1], c)  # raises ConfigError on a bad c
+    c = float(c)
     lo, hi = PENALTY_RANGE
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _minimize_alpha(complex(mid, _COMPLEX_STEP), c)[1].imag < 0:

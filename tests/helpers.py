@@ -10,13 +10,15 @@ entry and product by product, the oracle of the structured build_two_level
 (its A @ X and P @ Y too), preconditioner_matrix and error_matrix.  coarse_operator builds the
 Galerkin coarse operator R A P, which build_two_level does not store, from
 the same loops at every size the set-up accepts.  closed_form_pairs is the
-complex-path closed form, and endpoint_radius its largest modulus at
-cos(theta) = +/-1: the value that lfa's real-arithmetic symbol_radius must
-return bit for bit.  reference_symbol_radius takes that modulus on a
-256-point theta grid instead, the objective of the searches below and the
-grid whose excess over the endpoints radicand_slack and exact_modulus
-account for.  polyval_bracketed_root is the np.polyval bisection the
-clustering constant is checked against.  solve_clustering_system is damped
+complex-path closed form, the bits of lfa.eigenvalues_closed_form_at, and
+reference_symbol_radius its largest modulus on a 256-point theta grid: the
+objective of the searches below and a grid whose excess over the radius at
+the phase extremes radicand_slack and exact_modulus account for.
+rational_pair is the closed-form pair at cos(theta) = +/-1 in exact
+rational arithmetic, and exact_radius its largest modulus, with the
+rounding bound that lfa.symbol_radius must meet against it.
+polyval_bracketed_root is the np.polyval bisection the clustering constant
+is checked against.  solve_clustering_system is damped
 Newton on optimize.clustering_residuals, the independent solve that
 optimize.CLUSTERING must agree with.  loop_nelder_mead builds
 and shrinks the simplex vertex by vertex and takes the centroid by mean,
@@ -171,18 +173,12 @@ def reference_symbol_radius(params):
     return float(np.abs(closed_form_pairs(np.cos(thetas), params)).max())
 
 
-def endpoint_radius(params):
-    """max |lambda| of closed_form_pairs at cos(theta) = +/-1: the value
-    symbol_radius must return."""
-    return float(np.abs(closed_form_pairs(np.array([1.0, -1.0]), params)).max())
-
-
 def radicand_slack(params):
-    """How far rounding may lift a float closed-form modulus above
-    endpoint_radius where the pair is nearly double: 8 ulp plus sqrt's share
-    of the radicand's rounding, a few units of eps on the terms of its
-    numerator, which cancel there (err/(2 sqrt(q)), or sqrt(err) where q is
-    within err of zero)."""
+    """How far rounding may lift a float closed-form modulus above the
+    radius at cos(theta) = +/-1 where the pair is nearly double: 8 ulp plus
+    sqrt's share of the radicand's rounding, a few units of eps on the terms
+    of its numerator, which cancel there (err/(2 sqrt(q)), or sqrt(err)
+    where q is within err of zero)."""
     _, _, r, s = lfa._coefficients(*params.as_tuple())
     slack = 0.0
     for x in (1.0, -1.0):
@@ -190,7 +186,41 @@ def radicand_slack(params):
         q = (r[0] + r[1] * x + r[2] * x * x) / den
         err = 4 * sys.float_info.epsilon * sum(map(abs, r)) / abs(den)
         slack = max(slack, err / (2 * math.sqrt(q)) if q > err else math.sqrt(err))
-    return 8 * math.ulp(endpoint_radius(params)) + slack
+    return 8 * math.ulp(lfa.symbol_radius(params)) + slack
+
+
+def rational_pair(alpha, d0, c, x):
+    """The closed-form pair center +/- sqrt(q) of lfa._coefficients in exact
+    rational arithmetic at a rational cosine x = +/-1, where q is a rational
+    square."""
+    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(alpha, d0, c)
+    center = Fraction(num0 + num1 * x) / (den0 + den1 * x)
+    q = Fraction(r0 + r1 * x + r2 * x * x) / (s0 + s1 * x + s2 * x * x)
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    assert root * root == q
+    return {center + root, center - root}
+
+
+def exact_radius(params):
+    """(r, bound) in rational arithmetic: the exact radius r, the largest
+    modulus of rational_pair at cos(theta) = +/-1 of the float triple, and
+    the bound on |lfa.symbol_radius - r|.
+
+    The bound counts roundings, each at most 2^-53 relative.  Each of
+    lfa._extreme_slopes' four slopes mu is a quotient of products of sums
+    whose terms have one sign, so its relative error is at most 2^-53 times
+    the number of roundings on its longest path: 15 for
+    -2u(1-2w)/(c^2 + u(t(d0+1) + 2w)) (the inputs d0 - 1, 1 - c and 1 - 2c
+    one each, w two, t and 1 - 2w three), fewer for the other three.
+    alpha*mu adds one, and 1 + alpha*mu one relative to its own size, so
+    |symbol_radius - r| <= 2^-53 (16 alpha*max|mu| + r) to first order; one
+    more rounding on both terms covers the second order:
+    17 * 2^-53 (max|lambda - 1| + r).
+    """
+    alpha, d0, c = map(Fraction, params.as_tuple())
+    pairs = rational_pair(alpha, d0, c, 1) | rational_pair(alpha, d0, c, -1)
+    exact = max(map(abs, pairs))
+    return exact, Fraction(17, 2**53) * (max(abs(lam - 1) for lam in pairs) + exact)
 
 
 def exact_modulus(params, x, bits=300):

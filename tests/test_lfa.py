@@ -9,11 +9,12 @@ from helpers import (
     closed_form_pairs,
     coarse_operator,
     deflate_constant,
-    endpoint_radius,
     exact_modulus,
+    exact_radius,
     invariance_defect,
     projected_block,
     radicand_slack,
+    rational_pair,
 )
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
@@ -264,7 +265,7 @@ def test_symbol_radius_matches_dense_radius(classical_params):
 def test_the_radius_sits_at_the_phase_extremes_in_rational_arithmetic():
     # the steps of symbol_radius's argument, exactly, on seeded rational
     # triples: the box's interior, its edges c -> 0, c -> 1 and delta0 -> 1+,
-    # and alpha = 0, where the radicand vanishes
+    # alpha = 0, where the radicand vanishes, and large delta0
     rng = np.random.default_rng(3102)
     triples = [
         (Fraction(int(a), 1000), 1 + Fraction(int(d), 1000), Fraction(int(c), 1000))
@@ -273,6 +274,7 @@ def test_the_radius_sits_at_the_phase_extremes_in_rational_arithmetic():
     tiny = Fraction(1, 10**9)
     for alpha, d0, c in triples[:10]:
         triples += [(alpha, d0, tiny), (alpha, d0, 1 - tiny), (alpha, 1 + tiny, c), (Fraction(0), d0, c)]
+    triples += [(alpha, d0 * 10 ** int(k), c) for (alpha, d0, c), k in zip(triples[10:20], rng.integers(2, 80, 10))]
     for alpha, d0, c in triples:
         (n0, n1), (e0, e1), (r0, r1, r2), s = lfa._coefficients(alpha, d0, c)
         # the radicand's denominator is E^2, and E = -delta0*L > 0 at +/-1
@@ -306,6 +308,21 @@ def test_the_radius_sits_at_the_phase_extremes_in_rational_arithmetic():
                 assert -(2 * u0 * u1 - r1) / (2 * (u1 * u1 - r2)) == x_star
         else:
             assert A1 == 0
+        # at +/-1, R = (2*alpha*F)^2, E = 2e and N = E - 2*alpha*n in the
+        # one-sign expansions, and the eigenvalues are 1 + alpha*mu over
+        # _extreme_slopes, so that formula cannot drift from _coefficients
+        u, w, t = d0 - 1, c * (1 - c), (1 - 2 * c) ** 2
+        F = {1: 2 * c**2 * d0**2 - c**2 - 2 * c * d0**2 + 2 * c + d0 - 1, -1: c * (c - 1) * (d0 - 1) * (2 * d0 - 1)}
+        e = {
+            1: c**2 + u * (2 - 6 * w + c**2) + u**2 * (3 - 10 * w) + u**3 * t,
+            -1: 1 - 2 * w + u * (3 - 8 * w) + u**2 * (3 - 10 * w) + u**3 * t,
+        }
+        n = {1: c**2 + u * (3 - 8 * w) + u**2 * (2 - 6 * w), -1: 1 - 2 * w + u * (3 - 7 * w) + u**2 * (2 - 6 * w)}
+        slopes = lfa._extreme_slopes(d0, c)
+        for x, mus in ((1, slopes[:2]), (-1, slopes[2:])):
+            assert R(x) == (2 * alpha * F[x]) ** 2
+            assert e0 + e1 * x == 2 * e[x] and n0 + n1 * x == 2 * e[x] - 2 * alpha * n[x]
+            assert {1 + alpha * mu for mu in mus} == rational_pair(alpha, d0, c, x)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +437,7 @@ def test_clustering_symbol_spectrum_is_three_points():
 
 
 # ---------------------------------------------------------------------------
-# the real-arithmetic kernels against the complex path, bit for bit
+# symbol_radius against the exact radius, and the complex path bit for bit
 
 
 def same_outcome(f, g, *args):
@@ -440,14 +457,23 @@ def same_outcome(f, g, *args):
     return True
 
 
+def within_rounding(p):
+    """symbol_radius meets helpers.exact_radius's rounding bound at p."""
+    exact, bound = exact_radius(p)
+    assert abs(Fraction(lfa.symbol_radius(p)) - exact) <= bound, (p, float(exact), float(bound))
+
+
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_symbol_radius_is_the_complex_path_radius_on_seeded_draws(cast):
-    # the box's interior and its neighbourhood of delta0 = 1 (gaps down to 1e-9)
+    # the box's interior and its neighbourhood of delta0 = 1 (gaps down to
+    # 1e-9), against the exact radius: at most 4.3 ulp (8% of the bound)
+    # here, where the general closed form's square root of the cancelling
+    # radicand misses by up to 1.8e9 ulp
     rng = np.random.default_rng(2207)
     for _ in range(1500):
         gap = 10.0 ** rng.uniform(-9.0, 1.0)
         p = MethodParams(cast(rng.uniform(0.0, 1.0)), cast(1.0 + gap), cast(rng.uniform(1e-6, 1.0 - 1e-6)))
-        assert same_outcome(lfa.symbol_radius, endpoint_radius, p)
+        within_rounding(p)
 
 
 # three triples at the edges c -> 0, delta0 -> 1+ where the float closed form
@@ -461,11 +487,12 @@ EDGE_TRIPLES = [
 
 
 def test_symbol_radius_is_the_supremum_on_a_fine_grid():
-    # a 4,097-point theta grid holds cos = +/-1 bit for bit, so it never reads
-    # below the two-point radius, and above it only by rounding: within the
-    # slack of the radicand's cancellation where a pair is nearly double, and
-    # beyond it only at the edges, where in exact arithmetic the grid's
-    # maximum is still below the extremes'
+    # a 4,097-point theta grid of the general closed form holds cos = +/-1
+    # bit for bit, and reads above its own extremes only by the radicand's
+    # slack, beyond it only at the edges, where in exact arithmetic the
+    # grid's maximum is still below the extremes'.  Its distance from the
+    # radius is then its own rounding: that slack plus its miss of the exact
+    # radius at the extremes, and the radius's rounding bound
     grid = np.cos(np.linspace(0.0, 2.0 * np.pi, 4097))
     rng = np.random.default_rng(2209)
     draws = [
@@ -474,13 +501,16 @@ def test_symbol_radius_is_the_supremum_on_a_fine_grid():
     ]
     beyond = []
     for p in draws + EDGE_TRIPLES:
-        radius = lfa.symbol_radius(p)
         moduli = np.abs(closed_form_pairs(grid, p)).max(axis=-1)
-        assert moduli.max() >= radius
-        if moduli.max() - radius > radicand_slack(p):
+        extremes = moduli[[0, 2048]].max()
+        if moduli.max() - extremes > radicand_slack(p):
             x = grid[moduli.argmax()]
             assert exact_modulus(p, x) <= max(exact_modulus(p, 1.0), exact_modulus(p, -1.0))
             beyond.append(p)
+        else:
+            exact, bound = exact_radius(p)
+            slack = radicand_slack(p) + abs(Fraction(extremes) - exact) + bound
+            assert abs(Fraction(moduli.max()) - Fraction(lfa.symbol_radius(p))) <= slack
     assert beyond[-3:] == EDGE_TRIPLES
     assert all(p.discontinuity < 1e-2 and p.penalty < 1.01 for p in beyond), beyond
 
@@ -488,8 +518,10 @@ def test_symbol_radius_is_the_supremum_on_a_fine_grid():
 @pytest.mark.parametrize("edge", ["c->0", "c->1", "delta0->1+", "alpha=0"])
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_symbol_radius_is_the_complex_path_radius_at_the_edges(edge, cast):
-    # at the edges the radicand vanishes (alpha = 0) or cancels to rounding
-    # level, where q >= 0 and q < 0 meet on the same grid
+    # at the edges the general closed form's radicand vanishes (alpha = 0)
+    # or cancels to rounding level, and misses the exact radius by up to
+    # 1.0e4 ulp at delta0 -> 1+; the slopes keep at most 1.8 ulp (alpha = 0
+    # gives exactly 1 on both)
     rng = np.random.default_rng(["c->0", "c->1", "delta0->1+", "alpha=0"].index(edge))
     gaps = [2.0**-e for e in range(1, 60)] + [5e-324, 1e-300, 1e-200, 1e-100]
     for gap in gaps:
@@ -503,12 +535,23 @@ def test_symbol_radius_is_the_complex_path_radius_at_the_edges(edge, cast):
         else:
             alpha = 0.0
         p = MethodParams(cast(alpha), cast(d0), cast(c))
-        same_outcome(lfa.symbol_radius, endpoint_radius, p)
+        within_rounding(p)
 
 
 @pytest.mark.parametrize("name", cli.PRESETS_1D)
 def test_symbol_radius_is_the_complex_path_radius_at_the_presets(name):
-    assert same_outcome(lfa.symbol_radius, endpoint_radius, cli.preset_params(name))
+    # 11.4 ulp at clustering, where 1 + alpha*mu cancels from -1.197 to -0.197
+    within_rounding(cli.preset_params(name))
+
+
+@pytest.mark.parametrize("d0, radius", [(1e10, 1 - 1e-10), (1e20, 1.0)])
+def test_symbol_radius_at_a_large_penalty(d0, radius):
+    # at (1/2, d0, 1/2) the slopes give the radius 1 - 1/d0 + 1/(2 d0^2)
+    # exactly; the general closed form at cos(theta) = +/-1 reads
+    # 1.000000358 at d0 = 1e10 and 6.7e19 at d0 = 1e20
+    p = MethodParams(0.5, d0, 0.5)
+    within_rounding(p)
+    assert lfa.symbol_radius(p) == radius
 
 
 def test_closed_form_pairs_are_the_complex_path_pairs():
@@ -543,14 +586,21 @@ def test_degenerate_cosines_are_named():
 @pytest.mark.parametrize("closed_form", ["symbol_radius", "eigenvalues_closed_form_at"])
 @pytest.mark.parametrize("cast", [float, np.float64])
 def test_closed_form_names_an_overflowing_penalty(closed_form, cast):
-    # float components have always raised OverflowError here; np.float64 ones
-    # returned NaN until the coefficients were taken as Python floats
+    # the general closed form's float components have always raised
+    # OverflowError at delta0 = 1e80; np.float64 ones returned NaN until the
+    # coefficients were taken as Python floats.  symbol_radius's slopes hold
+    # there (the exact radius is 1 - 1e-80 + ...) and overflow only where
+    # 2*delta0 does
     f = {
         "symbol_radius": lfa.symbol_radius,
         "eigenvalues_closed_form_at": lambda p: lfa.eigenvalues_closed_form_at(1.0, p),
     }[closed_form]
+    d0 = 1e80
+    if closed_form == "symbol_radius":
+        assert f(MethodParams(0.5, cast(d0), 0.5)) == 1.0
+        d0 = 1e308
     with pytest.raises(lfa.DegenerateParameterError):
-        f(MethodParams(0.5, cast(1e80), 0.5))
+        f(MethodParams(0.5, cast(d0), 0.5))
 
 
 # ---------------------------------------------------------------------------

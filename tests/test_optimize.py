@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     NewtonDivergenceError,
-    endpoint_radius,
+    closed_form_pairs,
+    exact_radius,
     loop_nelder_mead,
     polyval_bracketed_root,
     radicand_slack,
+    rational_pair,
     reference_symbol_radius,
     search_1d_alpha,
     search_1d_alpha_delta,
@@ -227,8 +229,11 @@ def test_optimize_alpha_classical():
 
 
 def test_optimize_alpha_delta():
-    # the exact optimum of the alpha-delta preset
-    assert within_ulps(optimize.optimize_1d_alpha_delta(0.5), (0.9, 1.5, 0.2))
+    # the exact optimum of the alpha-delta preset, with the exact radius of
+    # the float triple it returns (0.2 + 4.98 ulp)
+    alpha, d0, rho = optimize.optimize_1d_alpha_delta(0.5)
+    exact, _ = exact_radius(MethodParams(alpha, d0, 0.5))
+    assert within_ulps((alpha, d0, rho), (0.9, 1.5, float(exact)))
 
 
 def test_1d_optimizers_match_or_beat_the_searches():
@@ -244,11 +249,11 @@ def test_1d_optimizers_match_or_beat_the_searches():
 
 
 def test_optimize_alpha_with_a_pair_rounded_complex():
-    # just above delta0 = 1 rounding makes the pair at cos(theta) = -1
-    # complex (q = -1.4e-15), which adds a hypot piece to the endpoint radius
+    # just above delta0 = 1 rounding makes the general closed form's pair at
+    # cos(theta) = -1 complex (q = -1.4e-15); the extreme slopes are real
     penalty, c = 1.000000052101304, 0.4326658494441967
-    _, q = lfa._closed_form_parts(np.array([1.0, -1.0]), 1.0, penalty, c)
-    assert q[1] < 0
+    pairs = lfa.eigenvalues_closed_form_at(np.array([1.0, -1.0]), MethodParams(1.0, penalty, c))
+    assert pairs[1, 0].imag > 0
     _, rho = optimize.optimize_1d_alpha(penalty, c)
     assert rho <= search_1d_alpha(penalty, c)[1] + 1e-12
 
@@ -271,17 +276,6 @@ def test_1d_optimizers_evaluate_the_radius_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the exact 1D baselines, certified in rational arithmetic
-
-
-def rational_pair(alpha, d0, c, x):
-    """The closed-form pair center +/- sqrt(q) of lfa._coefficients in exact
-    rational arithmetic at a rational cosine x, where q is a rational square."""
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(alpha, d0, c)
-    center = (num0 + num1 * x) / (den0 + den1 * x)
-    q = (r0 + r1 * x + r2 * x * x) / (s0 + s1 * x + s2 * x * x)
-    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    assert root * root == q
-    return {center + root, center - root}
 
 
 F = Fraction
@@ -328,19 +322,23 @@ def test_baseline_presets_are_local_minima(name, phases):
 
 def test_certificate_allows_the_rounding_of_a_nearly_double_pair():
     # at this c the optimum's pair at cos(theta) = 1 is nearly double, and
-    # rounding in its cancelling radicand puts a 256-point grid neighbour
-    # 17 ulp above the radius at the extremes that the optimizer returns (a
-    # 50-digit evaluation has the maximum at the endpoint), inside the slack
+    # rounding in the general closed form's cancelling radicand moves its
+    # 256-point grid by its own rounding only: above its values at
+    # cos(theta) = +/-1 within the slack.  The slopes keep the radius within
+    # its rounding bound there, and at the nearly double pair found near
+    # c = 0.315, where the general closed form reads 6,440 ulp low
     c = 0.3143196287038529
     *point, rho = optimize.optimize_1d_alpha_delta(c)
     params = MethodParams(*point, c)
-    assert rho == endpoint_radius(params)
-    grid = reference_symbol_radius(params)
-    assert grid - rho == 17 * math.ulp(rho) <= radicand_slack(params)
+    extremes = np.abs(closed_form_pairs(np.array([1.0, -1.0]), params)).max()
+    assert 0 <= reference_symbol_radius(params) - extremes <= radicand_slack(params)
+    for p in (params, MethodParams(0.9763361740541776, 1.6582923586726732, 0.3151621603520993)):
+        exact, bound = exact_radius(p)
+        assert abs(F(lfa.symbol_radius(p)) - exact) <= bound
 
 
 def test_endpoint_terms_are_affine_in_alpha():
-    # what the exact optimizers read off lfa._coefficients, in rational
+    # why the eigenvalues at cos(theta) = +/-1 are 1 + mu*alpha, in rational
     # arithmetic: at alpha = 0 the centre's numerator is its denominator, so
     # the centre is 1 + a*alpha, and every radicand coefficient carries alpha^2
     rng = np.random.default_rng(2912)
@@ -418,7 +416,9 @@ def test_radius_ordering_of_presets(clustering_triple):
     _, _, rho_ad = optimize.optimize_1d_alpha_delta(0.5)
     rho_cluster = optimize.clustering_parameters().rho
     assert rho_alpha >= rho_ad >= rho_cluster
-    assert within_ulps((rho_alpha, rho_ad), (1 / 3, 0.2)) and abs(rho_cluster - 0.19732) < 1e-4
+    # 1/3, and the exact radius of the float triple alpha-delta returns
+    exact, _ = exact_radius(MethodParams(*optimize.optimize_1d_alpha_delta(0.5)[:2], 0.5))
+    assert within_ulps((rho_alpha, rho_ad), (1 / 3, float(exact))) and abs(rho_cluster - 0.19732) < 1e-4
 
 
 def test_flat_spectrum_invariant(clustering_triple):
