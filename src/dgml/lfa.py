@@ -22,8 +22,8 @@ orthonormal basis (tests verify this entrywise), so
     union over k of eig(error symbol) = eig(dense error operator)
 
 holds to rounding error.  The nonzero eigenvalues of the 4x4 error symbol
-have the closed form lambda = center +/- sqrt(num/den) with polynomial
-center/num/den in (alpha, delta0, c) and cos(theta);
+have the closed form lambda = (N +/- sqrt(R))/E with N, E linear and R
+quadratic in cos(theta), polynomial in (alpha, delta0, c) (_coefficients);
 eigenvalues_closed_form_at evaluates it on an array of cosines.  At
 cos(theta) = +/-1, where symbol_radius's docstring proves the supremum over
 all frequencies sits, the radicand is a square and each eigenvalue is
@@ -114,14 +114,14 @@ def symbol_error(k, J: int, params: MethodParams, dim: int = 1) -> np.ndarray:
 
 
 def _coefficients(alpha: float, d0: float, c: float):
-    """Polynomial pieces of the closed-form eigenvalues; returns the
-    (constant, cos) coefficients of center numerator/denominator and the
-    (constant, cos, cos^2) coefficients of radicand numerator/denominator.
+    """Polynomial pieces of the closed-form eigenvalues (N +/- sqrt(R))/E in
+    x = cos(theta): the (constant, x) coefficients of N and of E, and the
+    (constant, x, x^2) coefficients of R.
 
-    The center is (-alpha*g1 + d0*g2 + (1-c)*g3*x) / (d0*g2 - d0*(c-1)^2*x)
-    with x = cos(theta); the same bracket g2 appears in numerator and
-    denominator (the numeric oracle pins this down, together with the
-    overall factor 1/2 of the radicand).
+    N = -alpha*g1 + d0*g2 + (1-c)*g3*x and E = d0*g2 - d0*(c-1)^2*x share the
+    bracket g2 (the numeric oracle pins this down, together with the
+    overall factor 1/2 of R).  The radicand R/E^2 has E^2 as its
+    denominator (symbol_radius's proof), so E is the one denominator.
     """
     g1 = 3 * c**2 * d0 * (4 * d0 - 3) + c * (-12 * d0**2 + 9 * d0 + 1) + 4 * d0**2 - 2 * d0 - 1
     g2 = c**2 * (8 * d0**2 - 4 * d0 - 1) + c * (-8 * d0**2 + 4 * d0 + 2) + 2 * d0**2 - 1
@@ -142,31 +142,25 @@ def _coefficients(alpha: float, d0: float, c: float):
         4 * (c - 1) * c * d0**2 - 3 * (c - 1) * c * d0 + c + d0 - 1
     ) * (c * (3 * (c - 1) * d0 - 2 * c + 3) + d0 - 1)
     r2 = alpha**2 * (c - 1) ** 2 * c * (c * ((d0 - 4) * d0 + 2) + 2 * (d0 - 1))
-
-    s0 = d0**2 * (4 * c * (c - 1) * d0 - 2 * (1 - 2 * c) ** 2 * d0**2 + (c - 1) ** 2) ** 2
-    s1 = 2 * d0**2 * (
-        -2 * (2 * c**2 - 3 * c + 1) ** 2 * d0**2 + 4 * c * (c - 1) ** 3 * d0 + (c - 1) ** 4
-    )
-    s2 = (c - 1) ** 4 * d0**2
-    return (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2)
+    return (num0, num1), (den0, den1), (r0, r1, r2)
 
 
 def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
-    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) at values of
-    cos(theta); a scalar or array cosine gives a (..., 2) complex array."""
+    """Closed-form eigenvalue pairs (lambda_plus, lambda_minus) = N/E +/-
+    sqrt(R)/E at values of cos(theta); a scalar or array cosine gives a
+    (..., 2) complex array."""
     x = np.asarray(cosine, dtype=float)
     alpha, d0, c = map(float, params.as_tuple())
     try:
-        (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = _coefficients(alpha, d0, c)
+        (num0, num1), (den0, den1), (r0, r1, r2) = _coefficients(alpha, d0, c)
     except OverflowError as exc:
         raise DegenerateParameterError(f"closed-form coefficients overflow at {(alpha, d0, c)}") from exc
     den = den0 + den1 * x
-    radicand_den = s0 + s1 * x + s2 * x * x
-    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
+    bad = np.abs(den) < 1e-14
     if np.any(bad):
         raise DegenerateParameterError(f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator")
     center = (num0 + num1 * x) / den
-    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
+    root = np.sqrt((r0 + r1 * x + r2 * x * x).astype(complex)) / den
     return np.stack([center + root, center - root], axis=-1)
 
 
@@ -198,12 +192,13 @@ def symbol_radius(params: MethodParams) -> float:
     so the radius is max |1 + alpha*mu| over the four slopes of
     _extreme_slopes, with no square root.
 
-    Proof, with x = cos(theta) and the pair (N +/- sqrt(R))/E for N = num0 +
-    num1*x, E = den0 + den1*x and R = r0 + r1*x + r2*x^2: the radicand's
-    denominator is exactly E^2, and E = -delta0*L with L = (1-c)^2 (1+x) -
-    4c(1-c) delta0 - 2 delta0^2 (1-2c)^2 < 0 on [-1, 1] (L(-1) sums negative
-    terms; L(1) is -2c^2 at delta0 = 1 and falls in delta0), so E's zero
-    x* = -den0/den1 lies outside [-1, 1].  R >= 0 there: the nonzero
+    Proof, with x = cos(theta) and the pair (N +/- sqrt(R))/E of
+    _coefficients for N = num0 + num1*x, E = den0 + den1*x and R = r0 +
+    r1*x + r2*x^2, so that the radicand's denominator is E^2 by
+    construction: E = -delta0*L with L = (1-c)^2 (1+x) - 4c(1-c) delta0 -
+    2 delta0^2 (1-2c)^2 < 0 on [-1, 1] (L(-1) sums negative terms; L(1) is
+    -2c^2 at delta0 = 1 and falls in delta0), so E's zero x* = -den0/den1
+    lies outside [-1, 1].  R >= 0 there: the nonzero
     eigenvalues are the smoother's on the A-orthogonal complement of the
     coarse space, a Hermitian problem.  A branch turns only at a double root
     in x of G = (E*lambda - N)^2 - R.  G's discriminant in x, a quadratic

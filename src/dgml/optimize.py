@@ -68,15 +68,18 @@ def clustering_residuals(alpha: float, d0: float, c: float) -> np.ndarray:
     """Residuals of the three conditions that make the error-symbol
     eigenvalues frequency independent, read off ``lfa._coefficients``.
 
-    With x = cos(4*pi*k/J), the center (num0 + num1*x)/(den0 + den1*x)
-    vanishes for every x when num1 = num0 = 0, and the radicand (r0 + r1*x
-    + r2*x^2)/(s0 + s1*x + s2*x^2) loses its x dependence with r2/s2 =
-    r1/s1 (r0/s0 agrees at the clustering triple).  The residuals are
+    With x = cos(4*pi*k/J) and E = den0 + den1*x, the center (num0 +
+    num1*x)/E vanishes for every x when num1 = num0 = 0, and the radicand
+    (r0 + r1*x + r2*x^2)/E^2, where E^2 = den0^2 + s1*x + s2*x^2 with
+    s1 = 2*den0*den1 and s2 = den1^2, loses its x dependence with r2/s2 =
+    r1/s1 (r0/den0^2 agrees at the clustering triple).  The residuals are
     (num1/(1-c), -num0, 2*(r2/s2 - r1/s1)), the first with num1's factor
-    1-c divided out.
+    1-c divided out.  s1 and s2 vanish where E's coefficients do: at c = 1,
+    or off the admissible box (den0 > 0 > den1 on it).
     """
-    (num0, num1), _, (_, r1, r2), (_, s1, s2) = lfa._coefficients(alpha, d0, c)
-    if c == 1.0 or abs(s1) < 1e-300 or abs(s2) < 1e-300:
+    (num0, num1), (den0, den1), (_, r1, r2) = lfa._coefficients(alpha, d0, c)
+    s1, s2 = 2 * den0 * den1, den1 * den1
+    if s1 == 0 or s2 == 0:
         raise lfa.DegenerateParameterError(
             f"clustering residuals undefined at (alpha, delta0, c) = {(alpha, d0, c)}: "
             "zero denominator"
@@ -84,16 +87,10 @@ def clustering_residuals(alpha: float, d0: float, c: float) -> np.ndarray:
     return np.array([num1 / (1 - c), -num0, 2 * (r2 / s2 - r1 / s1)])
 
 
-def clustering_system_residuals(params: MethodParams) -> tuple[float, float, float]:
-    """clustering_residuals of a validated parameter triple, as floats."""
-    return tuple(float(r) for r in clustering_residuals(*params.as_tuple()))
-
-
 def clustering_parameters() -> ClusteringSolution:
     """CLUSTERING with its system residuals and its LFA radius."""
-    return ClusteringSolution(
-        CLUSTERING, clustering_system_residuals(CLUSTERING), lfa.symbol_radius(CLUSTERING)
-    )
+    residuals = tuple(map(float, clustering_residuals(*CLUSTERING.as_tuple())))
+    return ClusteringSolution(CLUSTERING, residuals, lfa.symbol_radius(CLUSTERING))
 
 
 def golden_section(f, lo: float, hi: float, tol: float = 1e-8, max_iter: int = 200):

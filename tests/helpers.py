@@ -149,20 +149,19 @@ def coarse_operator(config, params):
 
 
 def closed_form_pairs(cosine, params):
-    """Closed-form pairs center +/- sqrt(q) through a complex square root,
+    """Closed-form pairs N/E +/- sqrt(R)/E through a complex square root,
     from _coefficients of the triple's own components, after a mask check of
-    both denominators: the (..., 2) complex array of eigenvalues_closed_form_at."""
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(*params.as_tuple())
+    the denominator E: the (..., 2) complex array of eigenvalues_closed_form_at."""
+    (num0, num1), (den0, den1), (r0, r1, r2) = lfa._coefficients(*params.as_tuple())
     x = np.asarray(cosine, dtype=float)
     den = den0 + den1 * x
-    radicand_den = s0 + s1 * x + s2 * x * x
-    bad = (np.abs(den) < 1e-14) | (np.abs(radicand_den) < 1e-300)
+    bad = np.abs(den) < 1e-14
     if np.any(bad):
         raise lfa.DegenerateParameterError(
             f"degenerate eigenvalue expression at cos={x[bad]}: zero denominator"
         )
     center = (num0 + num1 * x) / den
-    root = np.sqrt(((r0 + r1 * x + r2 * x * x) / radicand_den).astype(complex))
+    root = np.sqrt((r0 + r1 * x + r2 * x * x).astype(complex)) / den
     return np.stack([center + root, center - root], axis=-1)
 
 
@@ -179,10 +178,10 @@ def radicand_slack(params):
     sqrt's share of the radicand's rounding, a few units of eps on the terms
     of its numerator, which cancel there (err/(2 sqrt(q)), or sqrt(err)
     where q is within err of zero)."""
-    _, _, r, s = lfa._coefficients(*params.as_tuple())
+    _, (den0, den1), r = lfa._coefficients(*params.as_tuple())
     slack = 0.0
     for x in (1.0, -1.0):
-        den = s[0] + s[1] * x + s[2] * x * x
+        den = (den0 + den1 * x) ** 2
         q = (r[0] + r[1] * x + r[2] * x * x) / den
         err = 4 * sys.float_info.epsilon * sum(map(abs, r)) / abs(den)
         slack = max(slack, err / (2 * math.sqrt(q)) if q > err else math.sqrt(err))
@@ -193,9 +192,9 @@ def rational_pair(alpha, d0, c, x):
     """The closed-form pair center +/- sqrt(q) of lfa._coefficients in exact
     rational arithmetic at a rational cosine x = +/-1, where q is a rational
     square."""
-    (num0, num1), (den0, den1), (r0, r1, r2), (s0, s1, s2) = lfa._coefficients(alpha, d0, c)
+    (num0, num1), (den0, den1), (r0, r1, r2) = lfa._coefficients(alpha, d0, c)
     center = Fraction(num0 + num1 * x) / (den0 + den1 * x)
-    q = Fraction(r0 + r1 * x + r2 * x * x) / (s0 + s1 * x + s2 * x * x)
+    q = Fraction(r0 + r1 * x + r2 * x * x) / (den0 + den1 * x) ** 2
     root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
     assert root * root == q
     return {center + root, center - root}
@@ -227,10 +226,10 @@ def exact_modulus(params, x, bits=300):
     """max |lambda| of the closed-form pair at a float cosine x in rational
     arithmetic, its square root truncated to `bits` bits; the pair is real on
     [-1, 1]."""
-    (n0, n1), (e0, e1), r, s = lfa._coefficients(*map(Fraction, params.as_tuple()))
+    (n0, n1), (e0, e1), r = lfa._coefficients(*map(Fraction, params.as_tuple()))
     x = Fraction(x)
     centre = (n0 + n1 * x) / (e0 + e1 * x)
-    q = (r[0] + r[1] * x + r[2] * x * x) / (s[0] + s[1] * x + s[2] * x * x)
+    q = (r[0] + r[1] * x + r[2] * x * x) / (e0 + e1 * x) ** 2
     assert q >= 0
     return abs(centre) + Fraction(math.isqrt(q.numerator * 4**bits // q.denominator), 2**bits)
 
@@ -273,7 +272,7 @@ def solve_clustering_system(initial, tol=1e-10, max_iter=100):
             except ConfigError as exc:  # never return a triple outside the box
                 raise NewtonDivergenceError(f"converged outside the valid box: {exc}", x) from exc
             return optimize.ClusteringSolution(
-                params, optimize.clustering_system_residuals(params), lfa.symbol_radius(params), it
+                params, tuple(map(float, fx)), lfa.symbol_radius(params), it
             )
         Jac = np.empty((3, 3))
         try:

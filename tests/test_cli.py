@@ -358,7 +358,7 @@ def test_presets_resolve_without_a_search(monkeypatch):
         raise AssertionError("a preset ran an optimizer or evaluated a residual or radius")
 
     for name in ("optimize_1d_alpha_delta", "optimize_1d_alpha", "nelder_mead", "golden_section",
-                 "clustering_system_residuals"):
+                 "clustering_residuals"):
         monkeypatch.setattr(optimize, name, searched)
     monkeypatch.setattr(lfa, "symbol_radius", searched)
     cli.preset_params.cache_clear()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     NewtonDivergenceError,
@@ -79,7 +79,7 @@ def test_bracketed_root_requires_strict_sign_change(coeffs, lo, hi):
 def test_clustering_parameters_match_oracle(clustering_triple):
     sol = optimize.clustering_parameters()
     assert sol.params == optimize.CLUSTERING
-    assert sol.residuals == optimize.clustering_system_residuals(optimize.CLUSTERING)
+    assert sol.residuals == tuple(map(float, optimize.clustering_residuals(*optimize.CLUSTERING.as_tuple())))
     assert sol.rho == lfa.symbol_radius(optimize.CLUSTERING)
     assert sol.params == clustering_triple
 
@@ -103,7 +103,7 @@ def test_clustering_radius(clustering_triple):
 
 
 def test_system_residual_hand_values(classical_params):
-    r1, _, _ = optimize.clustering_system_residuals(classical_params)
+    r1, _, _ = optimize.clustering_residuals(*classical_params.as_tuple())
     assert abs(r1 - (-1.0 / 9.0)) < 1e-14
     # first equation cancels identically at (alpha, delta0) = (1, 1)
     for c in (0.1, 0.4, 0.9):
@@ -143,10 +143,42 @@ def hand_typed_residuals(alpha, d0, c):
     d0=st.floats(1.0, 10.0, exclude_min=True),
     c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
+# c -> 1, where the radicand's denominator E^2 cancels if expanded on its own
+# (its (2c^2 - 3c + 1)^2 is formed from O(1) terms)
+@example(alpha=1.0, d0=2.0, c=0.9999999999999998)
+@example(alpha=0.9, d0=1.5, c=1 - 1e-9)
 def test_derived_residuals_match_hand_typed_polynomials(alpha, d0, c):
+    # the reference in exact rational arithmetic, so that it shares no
+    # rounding with the derived residuals
     derived = optimize.clustering_residuals(alpha, d0, c)
-    ref = hand_typed_residuals(alpha, d0, c)
-    assert np.all(np.abs(derived - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+    ref = hand_typed_residuals(*map(Fraction, (alpha, d0, c)))
+    assert all(abs(Fraction(d) - r) <= Fraction(1e-12) * max(abs(r), 1) for d, r in zip(derived, ref))
+
+
+def test_third_residual_is_rounding_close_to_its_rational_value():
+    # a seeded sweep of the box with its edges c -> 0, c -> 1 (down to
+    # 1 - 2^-52) and delta0 -> 1+ (down to 1 + 2^-52).  The third residual is
+    # 2*r2/den1^2 - 2*r1/(2*den0*den1); each term has a few roundings, so the
+    # difference is within 1e-14 of the exact one relative to the terms' size
+    # (1.1e-15 here).  Relative to max(|r|, 1) it is within 1e-14 where the
+    # terms do not cancel, as at the two named points.  As c -> 1 both terms
+    # grow like 1/(1-c)^2, and at delta0 = 1 + 1/sqrt(2), the root of
+    # 2 delta0^2 - 4 delta0 + 1, those leading parts cancel
+    rng = np.random.default_rng(3303)
+    triples = [(rng.uniform(0.0, 1.0), 1.0 + 10.0 ** rng.uniform(-9.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(300)]
+    for alpha, d0, c in triples[:20]:
+        gap = 10.0 ** rng.uniform(-15.5, -2.0)
+        triples += [(alpha, d0, gap), (alpha, d0, 1.0 - gap), (alpha, 1.0 + gap, c), (alpha, 1 + 2**-0.5, 1.0 - gap)]
+    named = [(1.0, 2.0, 1.0 - 2.0**-52), (0.9, 1.5, 1.0 - 1e-9)]
+    for alpha, d0, c in triples + named + [(0.9, 1.0 + 2.0**-52, 0.5)]:
+        _, (e0, e1), (_, r1, r2) = lfa._coefficients(*map(Fraction, (alpha, d0, c)))
+        terms = 2 * r2 / (e1 * e1), 2 * r1 / (2 * e0 * e1)
+        exact = terms[0] - terms[1]
+        assert exact == hand_typed_residuals(*map(Fraction, (alpha, d0, c)))[2]
+        miss = abs(Fraction(optimize.clustering_residuals(alpha, d0, c)[2]) - exact)
+        assert miss <= Fraction(1e-14) * max(abs(terms[0]) + abs(terms[1]), 1), (alpha, d0, c)
+        if (alpha, d0, c) in named:
+            assert miss <= Fraction(1e-14) * max(abs(exact), 1)
 
 
 def test_newton_reproduces_quartic_triple(clustering_triple):
@@ -344,10 +376,10 @@ def test_endpoint_terms_are_affine_in_alpha():
     rng = np.random.default_rng(2912)
     for _ in range(20):
         d0, c, alpha = (F(int(n), 100) for n in rng.integers((101, 1, 1), (1000, 100, 100)))
-        num0, den, r0, _ = lfa._coefficients(F(0), d0, c)
+        num0, den, r0 = lfa._coefficients(F(0), d0, c)
         assert num0 == den and r0 == (0, 0, 0)
-        num1, _, r1, _ = lfa._coefficients(F(1), d0, c)
-        num, _, r, _ = lfa._coefficients(alpha, d0, c)
+        num1, _, r1 = lfa._coefficients(F(1), d0, c)
+        num, _, r = lfa._coefficients(alpha, d0, c)
         assert num == tuple(n0 + alpha * (n1 - n0) for n0, n1 in zip(num0, num1))
         assert r == tuple(alpha**2 * v for v in r1)
 
