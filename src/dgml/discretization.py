@@ -71,8 +71,15 @@ def check_real(**values) -> None:
 
 
 def dense_cap() -> int:
-    """Row cap for dense operators; override with env var DGML_DENSE_CAP."""
-    return int(os.environ.get("DGML_DENSE_CAP", DEFAULT_DENSE_CAP))
+    """Row cap for dense operators; override with env var DGML_DENSE_CAP, an
+    integer >= 1 (ConfigError otherwise)."""
+    text = os.environ.get("DGML_DENSE_CAP", str(DEFAULT_DENSE_CAP))
+    try:
+        if (cap := int(text)) >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ConfigError(f"DGML_DENSE_CAP must be an integer >= 1, got {text!r}")
 
 
 def check_dense_cap(rows: int) -> None:

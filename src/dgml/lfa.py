@@ -164,12 +164,6 @@ def eigenvalues_closed_form_at(cosine, params: MethodParams) -> np.ndarray:
     return np.stack([center + root, center - root], axis=-1)
 
 
-def eigenvalues_closed_form(k, J: int, params: MethodParams) -> np.ndarray:
-    """Closed-form nonzero eigenvalues of the error symbols at frequencies k,
-    evaluated at the cosine of the symbols' own phase theta = 4*pi*k/J."""
-    return eigenvalues_closed_form_at(np.cos(_theta(k, J)), params)
-
-
 def _extreme_slopes(d0, c):
     """The slopes mu of the four closed-form eigenvalues 1 + mu*alpha at
     cos(theta) = 1 (the first two) and -1, as quotients of sums whose terms
@@ -242,20 +236,3 @@ def error_spectrum_symbols(J: int, params: MethodParams, dim: int = 1) -> np.nda
     half = np.arange(J // 2)
     k = half if dim == 1 else np.stack(np.meshgrid(half, half, indexing="ij"), axis=-1).reshape(-1, 2)
     return np.linalg.eigvals(symbol_error(k, J, params, dim)).ravel()
-
-
-def multiset_deviation(a, b) -> float:
-    """Greedy nearest-neighbour matching distance between two eigenvalue
-    multisets of equal size; adequate when clusters are far apart relative
-    to the tolerance being tested."""
-    a = np.sort_complex(np.asarray(a, dtype=complex))
-    b = list(np.sort_complex(np.asarray(b, dtype=complex)))
-    if len(a) != len(b):
-        raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    worst = 0.0
-    for x in a:
-        dists = np.abs(np.array(b) - x)
-        j = int(np.argmin(dists))
-        worst = max(worst, float(dists[j]))
-        b.pop(j)
-    return worst

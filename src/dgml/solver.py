@@ -1,4 +1,5 @@
-"""Krylov and stationary solvers for the preconditioned experiments."""
+"""Left-preconditioned GMRES for the preconditioned experiments (the
+stationary iteration is a test reference that shares _checked)."""
 
 from __future__ import annotations
 
@@ -10,21 +11,18 @@ import numpy as np
 
 @dataclass
 class SolveReport:
-    """Outcome of one linear solve.
+    """Outcome of one GMRES solve.
 
-    residual_history holds the norm the method monitors (for GMRES the
-    preconditioned residual, starting with the initial one); true_residual
-    is the final unpreconditioned residual norm, recorded for reporting.
-    contraction is the stationary method's late-iteration error reduction
-    factor estimate (NaN when not applicable).
+    residual_history holds the preconditioned residual norms, starting with
+    the initial one; true_residual is the final unpreconditioned residual
+    norm, recorded for reporting.
     """
 
     iterations: int
     residual_history: list[float]
     converged: bool
     solution: np.ndarray
-    true_residual: float = math.nan
-    contraction: float = math.nan
+    true_residual: float
 
 
 def _checked(b, tol, max_iter) -> np.ndarray:
@@ -106,49 +104,3 @@ def gmres(apply_A, apply_M, b, tol: float = 1e-8, max_iter: int | None = None) -
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a 1-D float vector, as np.linalg.norm computes it."""
     return math.sqrt(v @ v)
-
-
-def stationary_solve(
-    apply_A,
-    apply_M,
-    b,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    x0=None,
-    project=None,
-) -> SolveReport:
-    """Stationary two-level iteration u <- u + M(b - A u).
-
-    project (the identity by default) restricts iterates and residuals to a
-    subspace (kernel deflation for singular periodic systems).  The
-    contraction field estimates the asymptotic residual reduction factor from
-    the last iterations (geometric mean, which averages out equioscillation).
-    """
-    if project is None:
-        project = lambda v: v
-    b = project(_checked(b, tol, max_iter))
-    u = project(np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy())
-    ref = float(np.linalg.norm(b)) or 1.0  # a zero b is measured absolutely
-
-    r = project(b - apply_A(u))
-    history = [float(np.linalg.norm(r))]
-    converged = history[0] <= tol * ref
-    iterations = grow = 0
-    while not converged and iterations < max_iter:
-        u = project(u + apply_M(r))
-        r = project(b - apply_A(u))
-        history.append(float(np.linalg.norm(r)))
-        iterations += 1
-        if history[-1] <= tol * ref:
-            converged = True
-            break
-        grow = grow + 1 if history[-1] > history[-2] else 0
-        if grow >= 10:
-            break
-
-    contraction = math.nan
-    if len(history) >= 3:
-        k = min(10, len(history) - 1)
-        if history[-1 - k] > 0:
-            contraction = (history[-1] / history[-1 - k]) ** (1.0 / k)
-    return SolveReport(iterations, history, converged, u, history[-1], contraction)

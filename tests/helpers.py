@@ -29,6 +29,11 @@ and steps, on reference_symbol_radius: the radii that the exact optimizers
 must match or beat.  loop_gmres keeps the Hessenberg column
 in an array and the rotations in numpy scalars and takes norms by
 np.linalg.norm, the reference that solver.gmres must reproduce bit for bit.
+stationary_solve is the stationary two-level iteration whose late
+contraction acceptance criterion 8 compares with the LFA radius; it checks
+its inputs by solver._checked, as gmres does.  multiset_deviation is the
+greedy matching distance between two eigenvalue multisets, with which the
+tests compare spectra.
 """
 
 import math
@@ -38,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dgml import lfa, optimize
+from dgml import lfa, optimize, solver
 from dgml.discretization import BoundaryCondition, ConfigError
 from dgml.twolevel import MethodParams, smoother_scale
 
@@ -467,3 +472,73 @@ def refined_inverse(K_band, periodic):
     """K^{-1}, or the pseudo-inverse K^+ when periodic: refined_solve of
     the identity."""
     return refined_solve(K_band, np.eye(2 * len(K_band)), periodic)
+
+
+def stationary_solve(
+    apply_A,
+    apply_M,
+    b,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+    x0=None,
+    project=None,
+):
+    """Stationary two-level iteration u <- u + M(b - A u).
+
+    project (the identity by default) restricts iterates and residuals to a
+    subspace (kernel deflation for singular periodic systems).  The
+    contraction field estimates the asymptotic residual reduction factor from
+    the last iterations (geometric mean, which averages out equioscillation).
+    """
+    if project is None:
+        project = lambda v: v
+    b = project(solver._checked(b, tol, max_iter))
+    u = project(np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy())
+    ref = float(np.linalg.norm(b)) or 1.0  # a zero b is measured absolutely
+
+    r = project(b - apply_A(u))
+    history = [float(np.linalg.norm(r))]
+    converged = history[0] <= tol * ref
+    iterations = grow = 0
+    while not converged and iterations < max_iter:
+        u = project(u + apply_M(r))
+        r = project(b - apply_A(u))
+        history.append(float(np.linalg.norm(r)))
+        iterations += 1
+        if history[-1] <= tol * ref:
+            converged = True
+            break
+        grow = grow + 1 if history[-1] > history[-2] else 0
+        if grow >= 10:
+            break
+
+    contraction = math.nan
+    if len(history) >= 3:
+        k = min(10, len(history) - 1)
+        if history[-1 - k] > 0:
+            contraction = (history[-1] / history[-1 - k]) ** (1.0 / k)
+    return SimpleNamespace(
+        iterations=iterations,
+        residual_history=history,
+        converged=converged,
+        solution=u,
+        true_residual=history[-1],
+        contraction=contraction,
+    )
+
+
+def multiset_deviation(a, b) -> float:
+    """Greedy nearest-neighbour matching distance between two eigenvalue
+    multisets of equal size; adequate when clusters are far apart relative
+    to the tolerance being tested."""
+    a = np.sort_complex(np.asarray(a, dtype=complex))
+    b = list(np.sort_complex(np.asarray(b, dtype=complex)))
+    if len(a) != len(b):
+        raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+    worst = 0.0
+    for x in a:
+        dists = np.abs(np.array(b) - x)
+        j = int(np.argmin(dists))
+        worst = max(worst, float(dists[j]))
+        b.pop(j)
+    return worst

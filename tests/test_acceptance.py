@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import solve_clustering_system
+from helpers import multiset_deviation, solve_clustering_system, stationary_solve
 
 from dgml.discretization import BoundaryCondition, DiscretizationConfig
 from dgml.twolevel import (
@@ -20,7 +20,7 @@ from dgml.twolevel import (
     error_matrix,
     preconditioner_matrix,
 )
-from dgml.solver import gmres, stationary_solve
+from dgml.solver import gmres
 from dgml import lfa, optimize, spectrum
 
 PER = BoundaryCondition.PERIODIC
@@ -142,7 +142,7 @@ def test_criterion_05_lfa_master_oracle(clustering_solution, alpha_delta_params)
             ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
             dense = np.linalg.eigvals(error_matrix(ops))
             sym = lfa.error_spectrum_symbols(J, params)
-            worst = max(worst, lfa.multiset_deviation(dense, sym))
+            worst = max(worst, multiset_deviation(dense, sym))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 30.0
     report(5, ok, f"worst multiset deviation {worst:.2e} over 52 cases, {elapsed:.1f}s")
@@ -161,8 +161,8 @@ def test_criterion_06_closed_form_check():
         for k in range(1, J // 2):
             ev = np.linalg.eigvals(lfa.symbol_error(k, J, params))
             ev = ev[np.argsort(-np.abs(ev))][:2]
-            cf = lfa.eigenvalues_closed_form(k, J, params)
-            worst = max(worst, lfa.multiset_deviation(ev, cf))
+            cf = lfa.eigenvalues_closed_form_at(np.cos(4 * np.pi * k / J), params)
+            worst = max(worst, multiset_deviation(ev, cf))
     ok = worst < 1e-9
     report(6, ok, f"worst |closed form - eigensolve| {worst:.2e}")
     assert worst < 1e-9

@@ -237,6 +237,9 @@ def test_usage_errors(tmp_path):
     *[("gmres-sweep", "--tol", v) for v in ("0", "-1", "nan", "inf")],
     *[("spectrum1d", "--cluster-tol", v) for v in ("0", "nan")],
     *[("spectrum2d", "--max-evals", v) for v in ("0", "-3")],
+    # text that the flag's float or int does not parse
+    ("gmres-sweep", "--tol", "abc"),
+    ("spectrum2d", "--max-evals", "2.5"),
 ])
 def test_non_positive_number_is_usage_error(tmp_path, capsys, command, flag, value):
     assert run(tmp_path, command, flag, value) == 1
@@ -332,6 +335,14 @@ def test_readme_flag_table_matches_parser():
 def test_dense_cap_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("DGML_DENSE_CAP", "16")
     assert run(tmp_path, "spectrum2d", "--cells", "4", "--max-evals", "3") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1e4", "-5", "0"])
+def test_invalid_dense_cap_is_named(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("DGML_DENSE_CAP", value)
+    assert run(tmp_path, "spectrum1d", "--cells", "4") == 1
+    err = capsys.readouterr().err
+    assert f"usage error: DGML_DENSE_CAP must be an integer >= 1, got {value!r}" in err
 
 
 def test_gmres_sweep_beyond_dense_cap_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from helpers import (
     exact_modulus,
     exact_radius,
     invariance_defect,
+    multiset_deviation,
     projected_block,
     radicand_slack,
     rational_pair,
@@ -193,6 +194,13 @@ def test_frequency_out_of_range():
         lfa.symbol_error(np.arange(3), 8, MethodParams(0.7, 2.2, 0.3), 2)
 
 
+def test_singular_coarse_symbol_off_the_kernel_is_named(monkeypatch):
+    # a singular coarse symbol at k != 0 raises, naming those frequencies
+    monkeypatch.setattr(np.linalg, "det", lambda a: np.zeros(np.shape(a)[:-2]))
+    with pytest.raises(lfa.DegenerateParameterError, match=r"singular at k=\[1 2 3\] \(off the kernel"):
+        lfa.symbol_error(np.arange(4), 8, MethodParams(0.7, 2.2, 0.3))
+
+
 # ---------------------------------------------------------------------------
 # closed-form eigenvalues
 
@@ -206,8 +214,8 @@ def test_closed_form_matches_error_symbol():
         for k in range(1, J // 2):
             ev = np.linalg.eigvals(lfa.symbol_error(k, J, params))
             ev = ev[np.argsort(-np.abs(ev))][:2]
-            cf = lfa.eigenvalues_closed_form(k, J, params)
-            worst = max(worst, lfa.multiset_deviation(ev, cf))
+            cf = lfa.eigenvalues_closed_form_at(np.cos(4 * np.pi * k / J), params)
+            worst = max(worst, multiset_deviation(ev, cf))
     assert worst < 1e-9
 
 
@@ -345,7 +353,7 @@ def test_dense_error_spectrum_equals_symbol_union(J, alpha, penalty, c):
     ops = build_two_level(DiscretizationConfig(J, penalty, PER), params)
     dense = np.linalg.eigvals(error_matrix(ops))
     sym = lfa.error_spectrum_symbols(J, params)
-    assert lfa.multiset_deviation(dense, sym) < 1e-8
+    assert multiset_deviation(dense, sym) < 1e-8
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
@@ -370,7 +378,7 @@ def test_symbol_spectrum_is_k_major_union_of_blocks(dim, J, alpha, penalty, c):
     for m, k in enumerate(freqs):
         single = lfa.symbol_error(k, J, params, dim)
         np.testing.assert_allclose(batch[m], single, rtol=0, atol=1e-13 * np.abs(single).max())
-        assert lfa.multiset_deviation(eigs[b * m : b * m + b], np.linalg.eigvals(single)) < 1e-12
+        assert multiset_deviation(eigs[b * m : b * m + b], np.linalg.eigvals(single)) < 1e-12
     assert np.min(np.abs(eigs[:b] - 1.0)) < 1e-12
 
 
@@ -402,8 +410,8 @@ def test_closed_form_at_parameter_edges(edge, log_gap, alpha, penalty, c):
     k = np.arange(1, J // 2)
     ev = np.linalg.eigvals(lfa.symbol_error(k, J, params))
     top = np.take_along_axis(ev, np.argsort(-np.abs(ev), axis=-1)[:, :2], axis=-1)
-    cf = lfa.eigenvalues_closed_form(k, J, params)
-    assert max(lfa.multiset_deviation(a, b) for a, b in zip(top, cf)) < 1e-8
+    cf = lfa.eigenvalues_closed_form_at(np.cos(4 * np.pi * k / J), params)
+    assert max(multiset_deviation(a, b) for a, b in zip(top, cf)) < 1e-8
 
 
 def test_fault_injection_breaks_equivalence():
@@ -414,8 +422,8 @@ def test_fault_injection_breaks_equivalence():
     J = 8
     ops = build_two_level(DiscretizationConfig(J, params.penalty, PER), params)
     dense = np.linalg.eigvals(error_matrix(ops))
-    assert lfa.multiset_deviation(dense, lfa.error_spectrum_symbols(J, params)) < 1e-8
-    assert lfa.multiset_deviation(dense, lfa.error_spectrum_symbols(J, nudged)) > 1e-5
+    assert multiset_deviation(dense, lfa.error_spectrum_symbols(J, params)) < 1e-8
+    assert multiset_deviation(dense, lfa.error_spectrum_symbols(J, nudged)) > 1e-5
 
 
 @pytest.mark.xfail(strict=True, reason="pinv's relative rcond keeps the rounding-level singular "
@@ -616,7 +624,7 @@ def test_closed_form_names_an_overflowing_penalty(closed_form, cast):
 
 def test_multiset_deviation_basics():
     a = np.array([1.0, 2.0, 3.0])
-    assert lfa.multiset_deviation(a, a[::-1]) == 0.0
-    assert abs(lfa.multiset_deviation(a, a + 1e-3) - 1e-3) < 1e-12
+    assert multiset_deviation(a, a[::-1]) == 0.0
+    assert abs(multiset_deviation(a, a + 1e-3) - 1e-3) < 1e-12
     with pytest.raises(ValueError):
-        lfa.multiset_deviation(a, a[:2])
+        multiset_deviation(a, a[:2])

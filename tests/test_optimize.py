@@ -517,3 +517,19 @@ def test_optimize_2d_counts_failed_evaluations(monkeypatch, clustering_triple):
     assert np.isfinite(sol.rho)
     monkeypatch.setattr(spectrum, "two_level_error_eigenvalues", real)
     assert optimize.optimize_2d(cfg, clustering_triple, max_evals=20).failed_evals == 0
+
+
+def test_optimize_2d_scores_a_vertex_outside_the_box_inf(monkeypatch):
+    # the first simplex puts alpha at 0.99 + 0.02: scored +inf without an
+    # eigensolve, and not counted as failed
+    real, calls = spectrum.two_level_error_eigenvalues, []
+    monkeypatch.setattr(
+        spectrum, "two_level_error_eigenvalues", lambda cfg, p: calls.append(p) or real(cfg, p)
+    )
+    cfg = DiscretizationConfig(4, 1.5, BoundaryCondition.DIRICHLET, 2)
+    sol = optimize.optimize_2d(cfg, MethodParams(0.99, 1.5, 0.5), max_evals=12)
+    assert sol.failed_evals == 0 and sol.iterations == 12
+    assert len(calls) < sol.iterations and all(p.alpha <= 1.0 for p in calls)
+    p = sol.params
+    assert 0.0 < p.alpha <= 1.0 and p.penalty > 1.0 and 0.0 < p.discontinuity < 1.0
+    assert np.isfinite(sol.rho)

@@ -10,9 +10,9 @@ from dgml.twolevel import (
     error_matrix,
     preconditioner_matrix,
 )
-from dgml.solver import gmres, stationary_solve
+from dgml.solver import gmres
 from dgml import spectrum
-from helpers import loop_gmres
+from helpers import loop_gmres, stationary_solve
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET

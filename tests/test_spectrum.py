@@ -17,7 +17,7 @@ from dgml.twolevel import (
 )
 from dgml import lfa, spectrum
 from dgml.spectrum import Cluster
-from helpers import deflate_constant
+from helpers import deflate_constant, multiset_deviation
 
 PER = BoundaryCondition.PERIODIC
 DIR = BoundaryCondition.DIRICHLET
@@ -43,9 +43,9 @@ def test_error_block_eigenvalues_match_closed_form():
     params = MethodParams(0.85, 2.1, 0.4)
     k, J = 3, 16
     eigs = spectrum.eigenvalues_dense(lfa.symbol_error(k, J, params))
-    cf = lfa.eigenvalues_closed_form(k, J, params)
+    cf = lfa.eigenvalues_closed_form_at(np.cos(4 * np.pi * k / J), params)
     expected = np.array([0.0, 0.0, *cf])
-    assert lfa.multiset_deviation(eigs, expected) < 1e-9
+    assert multiset_deviation(eigs, expected) < 1e-9
 
 
 def test_dense_error_equals_symbol_union():
@@ -53,7 +53,7 @@ def test_dense_error_equals_symbol_union():
     ops = build_two_level(DiscretizationConfig(8, params.penalty, PER), params)
     dense = spectrum.eigenvalues_dense(error_matrix(ops))
     sym = lfa.error_spectrum_symbols(8, params)
-    assert lfa.multiset_deviation(dense, sym) < 1e-8
+    assert multiset_deviation(dense, sym) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_dense_error_equals_symbol_union():
 def test_cluster_counts_from_flat_symbol_sweep(clustering_triple):
     # J = 32: sixteen phases, each contributing the pair +/-rho and two
     # structural zeros
-    pairs = lfa.eigenvalues_closed_form(np.arange(16), 32, clustering_triple)
+    pairs = lfa.eigenvalues_closed_form_at(np.cos(4 * np.pi * np.arange(16) / 32), clustering_triple)
     lams = np.concatenate([pairs.ravel(), np.zeros(32)])
     clusters = spectrum.cluster_eigenvalues(lams, 1e-6)
     assert [cl.count for cl in clusters] == [16, 32, 16]
@@ -268,7 +268,7 @@ def _check_structured(cfg, params):
     assert eigs.dtype == complex and eigs.size == cfg.ndof
     assert np.all(eigs.imag == 0) and np.all(eigs[-coarse:] == 0)
     assert np.all(np.diff(eigs[:-coarse].real) >= 0)
-    assert lfa.multiset_deviation(eigs, _dense_error_eigenvalues(cfg, params)) <= 1e-10
+    assert multiset_deviation(eigs, _dense_error_eigenvalues(cfg, params)) <= 1e-10
 
 
 ORACLE_SIZES = [(1, J) for J in (2, 4, 8, 16, 32, 64, 128)] + [(2, J) for J in (2, 4, 8, 16)]
@@ -350,7 +350,7 @@ def test_fast_path_matches_generic_eigensolve(dim, J):
     fast = spectrum.two_level_error_eigenvalues(cfg, params)
     ops = build_two_level(cfg, params)
     dense = spectrum.eigenvalues_dense(error_matrix(ops))
-    assert lfa.multiset_deviation(fast, dense) < 1e-8
+    assert multiset_deviation(fast, dense) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_periodic_path_matches_deflated_dense_oracle(alpha, penalty, c):
         cfg = DiscretizationConfig(J, penalty, PER, dim)
         eigs = spectrum.two_level_error_eigenvalues(cfg, params)
         assert eigs.dtype == complex and eigs.size == cfg.ndof
-        dev = lfa.multiset_deviation(eigs, _deflated_dense_error_eigenvalues(cfg, params))
+        dev = multiset_deviation(eigs, _deflated_dense_error_eigenvalues(cfg, params))
         assert dev < 1e-10, f"dim={dim} J={J}: deviation {dev:.2e}"
 
 
