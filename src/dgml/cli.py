@@ -33,7 +33,7 @@ from .discretization import (
     source_vector,
 )
 from .solver import gmres
-from .twolevel import MethodParams, apply_preconditioner, build_two_level, error_matrix
+from .twolevel import MethodParams, build_two_level, error_matrix, preconditioner_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -267,8 +267,8 @@ def cmd_gmres_sweep(args) -> int:
         for J in cells:
             cfg = DiscretizationConfig(J, params.penalty, BoundaryCondition(args.bc), 1)
             ops = build_two_level(cfg, params)
-            b = source_vector(cfg)
-            report = gmres(lambda v: ops.A @ v, lambda v: apply_preconditioner(ops, v), b, tol=args.tol)
+            Minv, b = preconditioner_matrix(ops), source_vector(cfg)
+            report = gmres(lambda v: ops.A @ v, lambda v: Minv @ v, b, tol=args.tol)
             relres = report.residual_history[-1] / report.residual_history[0]
             rows.append([J, name, report.iterations, relres])
             if not report.converged:

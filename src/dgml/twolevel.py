@@ -1,13 +1,7 @@
 """Two-level preconditioner: smoother, transfer operators, coarse operator.
 
-The preconditioner applies one damped cell-Jacobi presmoothing step followed
-by a Galerkin coarse correction:
-
-    x = alpha * s * g
-    y = x + P @ solve(A0, R @ (g - A @ x))
-
-with s the scalar inverse of the cell block-Jacobi smoother (its blocks are
-multiples of the identity at this stencil).
+The preconditioner M^{-1} (Preconditioner) applies one damped cell-Jacobi
+presmoothing step followed by a Galerkin coarse correction.
 
 The prolongation carries a discontinuity parameter c: each coarse cell's two
 endpoint values map to the four fine dofs it covers through the 4x2 block
@@ -42,7 +36,7 @@ fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) from one
 eigendecomposition of the m x m pair (K, M), M = I in 1D, in O(m^3) where a
 dense 2D inverse costs O(m^6).  Periodic A0 is singular with the constant
 vector as kernel; the solve drops the constant eigenvector, which gives the
-pseudo-inverse.  M^{-1}, in 1D and 2D, is an operator too (Preconditioner).
+pseudo-inverse.
 
 Every product along grid axes is one kernel: _tiled(block, X) is
 kron(I, block) @ X along axis 0, and _on_grid applies it along each grid
@@ -164,8 +158,8 @@ class Prolongation:
 
 @dataclass(frozen=True)
 class TwoLevelOperators:
-    """The operators of one two-level setup, assembled consistently; the
-    smoother inverse is the scalar smoother_scale times the identity.
+    """The operators of one two-level setup, assembled consistently, from
+    which Preconditioner applies M^{-1}.
 
     A and P are structured: A @ X and P @ Y cost O(size) from the 1D
     stencil and the 4x2 prolongation block (P and P^T through _on_grid),
@@ -175,15 +169,14 @@ class TwoLevelOperators:
     maps Y to A0^{-1} Y (the pseudo-inverse when periodic) for a vector or
     a matrix Y and holds at most m x m arrays (the 1D Dirichlet chunk
     inverses or the eigenvectors of the pair (K, M)), never A0 or a dense
-    inverse of it.  smoothed_coarse_solve maps g to A0^{-1} R (I - alpha*s*A) g,
-    the coarse part of M^{-1}: in 1D Dirichlet one condensation solve with
-    the restriction composed in, otherwise A, P^T and coarse_solve in turn.
+    inverse of it.  smoothed_coarse_solve is the coarse part of M^{-1}: in
+    1D Dirichlet one condensation solve with the restriction composed in,
+    otherwise A, P^T and coarse_solve in turn.
     """
 
     config: DiscretizationConfig
     params: MethodParams
     A: SystemOperator
-    smoother_scale: float
     P: Prolongation
     coarse_solve: Callable[[np.ndarray], np.ndarray]
     smoothed_coarse_solve: Callable[[np.ndarray], np.ndarray]
@@ -381,10 +374,10 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
     scaling because A0 = R A P is built from the same R and P.  A singular
     coarse operator outside the periodic kernel raises SingularCoarseError.
     """
-    s = smoother_scale(config, params)
+    a_s = params.alpha * smoother_scale(config, params)
     check_dense_cap(config.ndof)  # the same limit as np.asarray of A and P
     A, P = SystemOperator(config), Prolongation(config, params.discontinuity)
-    a_s, band = params.alpha * s, _cell_band(A)
+    band = _cell_band(A)
     # K's band: [k, t] is its block at block row k+t-1 and block column k,
     # associated as the dense R A P, (A1 P1)^T / 2 @ P1, so each entry rounds
     # as it does
@@ -409,18 +402,23 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
             r = g - A @ (a_s * g)
             return coarse_solve(_on_grid(P.block.T, r, n, dim) / 2**dim)
 
-    return TwoLevelOperators(config, params, A, s, P, coarse_solve, smoothed_coarse_solve)
+    return TwoLevelOperators(config, params, A, P, coarse_solve, smoothed_coarse_solve)
 
 
 class Preconditioner:
-    """The M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up:
-    M @ Y is apply_preconditioner, np.asarray(M) is dense under the cap."""
+    """The M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up, with
+    s = smoother_scale: one damped smoothing step alpha*s*g, then the coarse
+    correction of its residual g - A (alpha*s*g).  M @ Y, for a vector or a
+    stack of columns Y, is a_s * Y + P @ smoothed_coarse_solve(Y), a_s =
+    alpha*s; np.asarray(M) is dense under the cap."""
 
     def __init__(self, ops: TwoLevelOperators):
         self.ops, self.shape = ops, ops.A.shape
+        self.a_s = ops.params.alpha * smoother_scale(ops.config, ops.params)
 
     def __matmul__(self, Y) -> np.ndarray:
-        return apply_preconditioner(self.ops, np.asarray(Y))
+        Y = np.asarray(Y)
+        return self.a_s * Y + self.ops.P @ self.ops.smoothed_coarse_solve(Y)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         check_dense_cap(self.shape[0])
@@ -430,13 +428,6 @@ class Preconditioner:
 def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
     """The M^{-1} of a set-up: apply it by `@`, densify it by np.asarray."""
     return Preconditioner(ops)
-
-
-def apply_preconditioner(ops: TwoLevelOperators, g: np.ndarray) -> np.ndarray:
-    """M^{-1} g from the stored operators, for a vector or a stack of columns
-    g (preconditioner_matrix(ops) @ g): the smoothing step alpha*s*g plus P
-    times the coarse solve of its residual's restriction."""
-    return ops.params.alpha * ops.smoother_scale * g + ops.P @ ops.smoothed_coarse_solve(g)
 
 
 def _dense(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
@@ -452,4 +443,5 @@ def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
     two-level setup, as I - M^{-1} A, densified by blocks of columns; the
     algebra holds for the periodic pseudo-inverse too."""
-    return _dense(lambda E: E - apply_preconditioner(ops, ops.A @ E), ops.A.shape[0])
+    Minv = Preconditioner(ops)
+    return _dense(lambda E: E - Minv @ (ops.A @ E), ops.A.shape[0])

@@ -10,7 +10,7 @@ from dgml.twolevel import (
     error_matrix,
     preconditioner_matrix,
 )
-from dgml.solver import gmres
+from dgml.solver import STAGNATION_FACTOR, STAGNATION_STEPS, gmres
 from dgml import spectrum
 from helpers import loop_gmres, stationary_solve
 
@@ -207,6 +207,39 @@ def test_gmres_mesh_independent_for_clustering_params(clustering_triple):
         rep = gmres(apply_A, apply_M, np.ones(2 * J), tol=1e-8)
         counts.append(rep.iterations)
     assert len(set(counts)) == 1
+
+
+@pytest.mark.parametrize("bc, most", [(DIR, 6), (PER, 4)])
+@pytest.mark.parametrize("J", [64, 1024])
+def test_gmres_finite_termination_at_the_clustering_triple(bc, most, J, clustering_triple, classical_params):
+    # M^{-1}A at the clustering triple has three eigenvalues, plus three
+    # boundary outliers in Dirichlet: full GMRES stops in that many steps for
+    # any load, where the classical triple's spread spectrum takes more
+    counts = {}
+    for params in (clustering_triple, classical_params):
+        _, apply_A, apply_M = dense_operators(J, params, bc)
+        for seed in (0, 1, 2):
+            b = np.random.default_rng(seed).standard_normal(2 * J)
+            if bc is PER:  # a consistent load
+                b -= b.mean()
+            rep = gmres(apply_A, apply_M, b, tol=1e-12)
+            assert rep.converged
+            counts[params, seed] = rep.iterations
+    for seed in (0, 1, 2):
+        assert counts[clustering_triple, seed] <= most < counts[classical_params, seed]
+
+
+def test_gmres_stops_on_stagnation_for_an_inconsistent_load(clustering_triple):
+    # a periodic load with nonzero mean has no solution: the preconditioned
+    # residual falls to its floor in a few steps and then creeps down for
+    # all 256 steps unless the stagnation stop ends the solve
+    _, apply_A, apply_M = dense_operators(128, clustering_triple, PER)
+    b = np.random.default_rng(0).standard_normal(256) + 1.0
+    rep = gmres(apply_A, apply_M, b, tol=1e-8)
+    history = rep.residual_history
+    assert not rep.converged and rep.iterations < 64
+    assert history[-1] > STAGNATION_FACTOR * history[-1 - STAGNATION_STEPS]
+    assert history[-1] > 1e-3 * history[0]
 
 
 # ---------------------------------------------------------------------------
