@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lfa, spectrum
-from .discretization import DiscretizationConfig
+from .discretization import ConfigError, DiscretizationConfig
 from .twolevel import MethodParams
 
 # quartics whose one real root on each bracket is a clustering parameter,
@@ -228,8 +228,11 @@ def optimize_2d(
     Nelder-Mead, starting from the 1D clustering triple CLUSTERING.
 
     An evaluation whose eigensolve raises LinAlgError scores +inf for the
-    search and is counted in the result's failed_evals.
+    search and is counted in the result's failed_evals.  A config whose dim
+    is not 2 raises ConfigError.
     """
+    if config.dim != 2:
+        raise ConfigError(f"optimize_2d needs a 2D config, got dim={config.dim}")
     if initial is None:
         initial = CLUSTERING
     failed = 0

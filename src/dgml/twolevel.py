@@ -408,9 +408,10 @@ def build_two_level(config: DiscretizationConfig, params: MethodParams) -> TwoLe
 class Preconditioner:
     """The M^{-1} = alpha*s*I + P A0^{-1} R (I - alpha*s*A) of a set-up, with
     s = smoother_scale: one damped smoothing step alpha*s*g, then the coarse
-    correction of its residual g - A (alpha*s*g).  M @ Y, for a vector or a
-    stack of columns Y, is a_s * Y + P @ smoothed_coarse_solve(Y), a_s =
-    alpha*s; np.asarray(M) is dense under the cap."""
+    correction of its residual g - A (alpha*s*g).  It is applied only: M @ Y,
+    for a vector or a stack of columns Y of n rows, is a_s * Y + P @
+    smoothed_coarse_solve(Y), a_s = alpha*s; a test that needs the dense
+    matrix forms M @ np.eye(n)."""
 
     def __init__(self, ops: TwoLevelOperators):
         self.ops, self.shape = ops, ops.A.shape
@@ -418,30 +419,24 @@ class Preconditioner:
 
     def __matmul__(self, Y) -> np.ndarray:
         Y = np.asarray(Y)
+        if len(Y) != self.shape[1]:  # one comparison: it runs on every GMRES step
+            raise ValueError(f"M @ Y needs {self.shape[1]} rows, got Y of shape {Y.shape}")
         return self.a_s * Y + self.ops.P @ self.ops.smoothed_coarse_solve(Y)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        check_dense_cap(self.shape[0])
-        return np.asarray(_dense(self.__matmul__, self.shape[0]), dtype=dtype)
 
 
 def preconditioner_matrix(ops: TwoLevelOperators) -> Preconditioner:
-    """The M^{-1} of a set-up: apply it by `@`, densify it by np.asarray."""
+    """The M^{-1} of a set-up, applied by `@`."""
     return Preconditioner(ops)
-
-
-def _dense(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """The n x n matrix of a linear map, applied to 2^15 // n identity
-    columns at a time, so that its work arrays stay O(2^15) entries."""
-    out, width = np.empty((n, n)), max(1, 2**15 // n)
-    for j in range(0, n, width):
-        out[:, j : j + width] = apply(np.eye(n, min(width, n - j), -j))
-    return out
 
 
 def error_matrix(ops: TwoLevelOperators) -> np.ndarray:
     """Error operator E = (I - P A0^{-1} R A)(I - alpha*s*A) of an assembled
-    two-level setup, as I - M^{-1} A, densified by blocks of columns; the
-    algebra holds for the periodic pseudo-inverse too."""
-    Minv = Preconditioner(ops)
-    return _dense(lambda E: E - Minv @ (ops.A @ E), ops.A.shape[0])
+    two-level setup, as I - M^{-1} A, applied to 2^15 // n identity columns
+    at a time, so that its work arrays stay O(2^15) entries; the algebra
+    holds for the periodic pseudo-inverse too."""
+    Minv, n = Preconditioner(ops), ops.A.shape[0]
+    out, width = np.empty((n, n)), max(1, 2**15 // n)
+    for j in range(0, n, width):
+        E = np.eye(n, min(width, n - j), -j)
+        out[:, j : j + width] = E - Minv @ (ops.A @ E)
+    return out

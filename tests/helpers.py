@@ -28,7 +28,8 @@ search_1d_alpha_delta are the golden-section and Nelder-Mead searches the
 and steps, on reference_symbol_radius: the radii that the exact optimizers
 must match or beat.  loop_gmres keeps the Hessenberg column
 in an array and the rotations in numpy scalars and takes norms by
-np.linalg.norm, the reference that solver.gmres must reproduce bit for bit.
+np.linalg.norm, the reference that solver.gmres must reproduce bit for bit,
+its stagnation stop included.
 stationary_solve is the stationary two-level iteration whose late
 contraction acceptance criterion 8 compares with the LFA radius; it checks
 its inputs by solver._checked, as gmres does.  multiset_deviation is the
@@ -379,7 +380,8 @@ def loop_nelder_mead(f, x0, steps, max_evals=2000):
 
 def loop_gmres(apply_A, apply_M, b, tol):
     """Left-preconditioned MGS GMRES from zero with the Hessenberg column in
-    an array; returns (iterations, residual history, solution)."""
+    an array, stopped as solver.gmres is on convergence, breakdown or
+    stagnation; returns (iterations, residual history, solution)."""
     r0 = apply_M(b)
     beta = float(np.linalg.norm(r0))
     basis, columns, cs, sn, g, history = [r0 / beta], [], [], [], [beta], [beta]
@@ -405,7 +407,9 @@ def loop_gmres(apply_A, apply_M, b, tol):
         g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
         history.append(abs(g[j + 1]))
-        if history[-1] <= tol * beta or happy:
+        steps, factor = solver.STAGNATION_STEPS, solver.STAGNATION_FACTOR
+        stalled = len(history) > steps and history[-1] > factor * history[-1 - steps]
+        if history[-1] <= tol * beta or happy or stalled:
             break
     m = len(columns)
     R = np.zeros((m, m))

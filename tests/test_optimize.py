@@ -19,7 +19,7 @@ from helpers import (
     solve_clustering_system,
 )
 
-from dgml.discretization import BoundaryCondition, DiscretizationConfig
+from dgml.discretization import BoundaryCondition, ConfigError, DiscretizationConfig
 from dgml.twolevel import MethodParams
 from dgml import cli, lfa, optimize, spectrum
 
@@ -473,6 +473,12 @@ def test_optimize_2d_descends_from_start(clustering_triple):
     assert rho_start < 1.0
     p = sol.params
     assert 0.0 < p.alpha <= 1.0 and p.penalty > 1.0 and 0.0 < p.discontinuity < 1.0
+
+
+def test_optimize_2d_rejects_a_1d_config(clustering_triple):
+    cfg = DiscretizationConfig(8, clustering_triple.penalty, BoundaryCondition.DIRICHLET, 1)
+    with pytest.raises(ConfigError, match="dim=1"):
+        optimize.optimize_2d(cfg, clustering_triple, max_evals=4)
 
 
 def test_optimize_2d_periodic_contracts(clustering_triple):

@@ -132,20 +132,26 @@ def reference_cases(clustering_triple):
         ops = build_two_level(cfg, clustering_triple)
         Minv = preconditioner_matrix(ops)
         b = rng.standard_normal(cfg.ndof)
-        if bc is PER:  # a consistent load
+        apply_A, apply_M = (lambda v, A=ops.A: A @ v), (lambda v, M=Minv: M @ v)
+        if bc is PER:  # an inconsistent load, which stalls, and a consistent one
+            yield apply_A, apply_M, b + 1.0, 1e-12
             b -= b.mean()
-        yield (lambda v, A=ops.A: A @ v), (lambda v, M=Minv: M @ v), b, 1e-12
+        yield apply_A, apply_M, b, 1e-12
 
 
 def test_gmres_is_the_loop_reference(clustering_triple):
     # the Hessenberg column and rotations in Python floats, the in-place
-    # MGS updates and the norms by math.sqrt round as the reference does
+    # MGS updates and the norms by math.sqrt round as the reference does,
+    # up to each stop: convergence, a zero rotated column and stagnation
+    stalled = 0
     for apply_A, apply_M, b, tol in reference_cases(clustering_triple):
         rep = gmres(apply_A, apply_M, b, tol=tol)
+        stalled += not rep.converged and rep.iterations > STAGNATION_STEPS
         iterations, history, solution = loop_gmres(apply_A, apply_M or (lambda v: v), b, tol)
         assert rep.iterations == iterations and rep.iterations > 0
         assert rep.residual_history == history
         np.testing.assert_array_equal(rep.solution, solution)
+    assert stalled == 1
 
 
 BAD_INPUTS = [
